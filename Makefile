@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint analyze-smoke trace-smoke chaos-smoke kernel-smoke parallel-smoke bench bench-wallclock bench-obs bench-chaos bench-kernel bench-parallel figures fuzz examples results clean
+.PHONY: install test lint analyze-smoke trace-smoke chaos-smoke kernel-smoke parallel-smoke e2e-smoke bench bench-obs bench-chaos bench-kernel bench-parallel bench-e2e figures fuzz examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,7 +43,8 @@ trace-smoke:
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.chaos --smoke
 
-# Fast kernel-throughput sanity gate (loose ratio floor, no pin update).
+# Kernel gate, one repeat, no pin update: event counts, allocs/op and
+# sim.* counters against BENCH_kernel.json, plus the zero-cost-off check.
 kernel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.kernel --smoke
 
@@ -54,17 +55,14 @@ parallel-smoke:
 bench: bench-kernel
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-wallclock:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.wallclock
-
 bench-obs:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.speculation_health
 
 bench-chaos:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.chaos
 
-# Full kernel throughput tier: measures events/sec on both kernels and
-# rewrites the BENCH_kernel.json pin (gate: >=5x over the seed kernel).
+# Kernel tier, three repeats: same gate as kernel-smoke, reports events/sec
+# (ungated) and rewrites the BENCH_kernel.json pin.
 bench-kernel:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.kernel
 
@@ -73,15 +71,28 @@ bench-kernel:
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.parallel
 
+# End-to-end host-speed benchmark (benchmarks/e2e/README.md): five
+# workloads through the whole stack, ~2 min; the report lands in
+# benchmarks/e2e/out/.  This is what catches a speed regression.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+# Its ~10 s schema tier.
+e2e-smoke:
+	$(PYTHON) -m pytest -q benchmarks/e2e/test_smoke.py
+
 figures:
 	$(PYTHON) -m repro figures
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f; done
 
-results: test bench bench-obs bench-chaos bench-parallel
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+# Everything once: the two smoke gates that have no full tier, the full
+# bench tiers (each a superset of its smoke tier), then the test suite and
+# the experiment tables, kept as text.
+results: trace-smoke analyze-smoke bench-kernel bench-obs bench-chaos bench-parallel
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

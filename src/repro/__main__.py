@@ -416,13 +416,13 @@ def main(argv=None) -> int:
         "bench-kernel",
         help="simulator kernel throughput bench (see repro.bench.kernel)")
     p_kern.add_argument("--smoke", action="store_true",
-                        help="fast tier (<=10s), no pin rewrite")
+                        help="one repeat, no pin rewrite")
     p_kern.add_argument("--check-only", action="store_true",
                         help="gate against the BENCH_kernel.json pin "
                              "without rewriting it")
     p_kern.add_argument("--profile", nargs="?", const="", default=None,
                         metavar="FILE",
-                        help="cProfile the tuned kernel workloads and print "
+                        help="cProfile the kernel workloads and print "
                              "the top-20 cumulative table")
     p_kern.add_argument("--out", default=None, metavar="FILE",
                         help="where to write the report JSON")

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.csp.external import ExternalSink
 from repro.obs import spans as ob
-from repro.obs.api import deprecated_alias
 from repro.obs.spans import Span
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.network import FixedLatency, LatencyModel, Network
@@ -40,10 +39,6 @@ class PipeliningResult:
     stats: Stats
     trace: List[Any] = field(default_factory=list)
     spans: List[Span] = field(default_factory=list)
-
-
-PipeliningResult.makespan = deprecated_alias(
-    "PipeliningResult", "makespan", "completion_time", removal="0.3.0")
 
 
 def run_pipelined_chain(

@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import EffectError, ProgramError
 from repro.obs import spans as ob
-from repro.obs.api import deprecated_alias
 from repro.obs.spans import Span
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.network import FixedLatency, LatencyModel, Network
@@ -80,10 +79,6 @@ class PipelineResult:
     waits: int                       # how many round-trip stalls happened
     trace: List[Any] = field(default_factory=list)
     spans: List[Span] = field(default_factory=list)
-
-
-PipelineResult.makespan = deprecated_alias(
-    "PipelineResult", "makespan", "completion_time", removal="0.3.0")
 
 
 class PromiseSystem:

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError, SimulationError
 from repro.obs import spans as ob
-from repro.obs.api import deprecated_alias
 from repro.obs.spans import Span
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.rng import RngRegistry
@@ -100,11 +99,6 @@ class TimeWarpResult:
     stats: Stats
     trace: List[Any] = field(default_factory=list)
     spans: List[Span] = field(default_factory=list)
-
-
-TimeWarpResult.physical_makespan = deprecated_alias(
-    "TimeWarpResult", "physical_makespan", "completion_time",
-    removal="0.3.0")
 
 
 class TimeWarpKernel:

@@ -15,9 +15,8 @@ This bench makes that claim executable:
 2. **Overhead** — with faults *disabled*, the resilience machinery must be
    nearly free: the fig3 streaming makespan under
    :class:`~repro.core.config.ResilienceConfig` may exceed the default
-   configuration's by at most :data:`FIG3_OVERHEAD_LIMIT` (the pin in
-   ``BENCH_core.json`` has no fig3 row, so the baseline is computed
-   in-bench from the same code).
+   configuration's by at most :data:`FIG3_OVERHEAD_LIMIT` (the baseline is
+   computed in-bench from the same code).
 3. **Governor** — on a call chain with a burst of mid-stream failures, the
    adaptive governor must *degrade* (fewer aborts than the ungoverned run,
    with forks demonstrably throttled) and *recover* (post-burst per-call
@@ -401,9 +400,9 @@ def exec_fallback_report() -> Dict[str, Any]:
 def fig3_overhead() -> Dict[str, Any]:
     """Makespan cost of the resilience machinery when nothing faults.
 
-    ``BENCH_core.json`` pins no fig3 number, so both sides are computed
-    here from the same code: the default configuration vs. resilience on
-    (acks, retransmission timers, dedup) with no fault plan.
+    Both sides are computed here from the same code: the default
+    configuration vs. resilience on (acks, retransmission timers, dedup)
+    with no fault plan.
     """
     base = run_fig3_streaming().optimistic.makespan
     hardened = run_fig3_streaming(

@@ -13,7 +13,6 @@ from repro.core.config import (
     GovernorConfig,
     OptimisticConfig,
     ResilienceConfig,
-    SnapshotPolicy,
 )
 from repro.core.snapshot import CowState, Snapshotter, StateSnapshot
 from repro.core.governor import SpeculationGovernor
@@ -42,7 +41,6 @@ __all__ = [
     "ResilienceConfig",
     "SpeculationGovernor",
     "ReliableTransport",
-    "SnapshotPolicy",
     "Snapshotter",
     "StateSnapshot",
     "CowState",

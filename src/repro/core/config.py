@@ -44,25 +44,6 @@ class CheckpointPolicy(enum.Enum):
     EAGER_COPY = "eager_copy"
 
 
-class SnapshotPolicy(enum.Enum):
-    """How thread state is captured and restored at the Python level.
-
-    Purely an implementation-cost knob: both policies produce bit-identical
-    virtual-time behaviour (the simulated checkpoint costs are charged by
-    :class:`CheckpointPolicy`, not here).  ``repro.bench.wallclock`` A/B
-    tests the two.
-    """
-
-    #: Versioned copy-on-write snapshots with structural sharing
-    #: (:mod:`repro.core.snapshot`); deepcopy only as a per-value fallback
-    #: for unrecognized mutable types.
-    COW = "cow"
-    #: The original behaviour: a full ``copy.deepcopy`` per capture and
-    #: per restore.  Kept for A/B comparison and as a conservative escape
-    #: hatch for exotic state values.
-    DEEPCOPY = "deepcopy"
-
-
 class DeliveryHeuristic(enum.Enum):
     """Which thread gets an ambiguous incoming message (§4.2.3)."""
 
@@ -84,21 +65,17 @@ class ResilienceConfig:
     to the run's :class:`OptimisticConfig`, so fault-free runs are
     byte-identical to the unhardened runtime.
 
-    * ``reliable_control`` / ``reliable_data`` wrap the respective plane in
+    * Both planes (COMMIT/ABORT/PRECEDENCE and data envelopes) travel in
       sequence-numbered frames with ack + retransmission (exponential
       backoff, capped attempts) and receiver-side duplicate suppression.
-    * ``orphan_scan_interval`` arms a periodic re-detection pass: a process
+    * A periodic re-detection pass is armed while doubt exists: a process
       holding an unresolved *foreign* guess queries the guess's owner, so a
       lost ABORT/COMMIT degrades to delayed cleanup instead of a hang.  The
-      scan stops re-arming after ``orphan_scan_max_idle`` rounds in which
-      the unresolved set did not change (so a genuine §4.2.6 deadlock — or
-      a fig7-style mutual-speculation stall — still quiesces).
+      scan stops re-arming after a few rounds in which the unresolved set
+      did not change (so a genuine §4.2.6 deadlock — or a fig7-style
+      mutual-speculation stall — still quiesces).
     """
 
-    #: Frame control messages (COMMIT/ABORT/PRECEDENCE) with seq+ack+retry.
-    reliable_control: bool = True
-    #: Frame data envelopes with seq+ack+retry.
-    reliable_data: bool = True
     #: Base retransmission timeout (virtual time); must exceed one RTT.
     retransmit_timeout: float = 30.0
     #: Backoff multiplier applied per retransmission attempt.
@@ -117,10 +94,6 @@ class ResilienceConfig:
     #: per-frame timers (one event per in-flight frame, the seed
     #: behaviour); see ``docs/PERF.md``.
     timer_wheel_granularity: float = 5.0
-    #: Period of the orphan re-detection scan; 0 disables it.
-    orphan_scan_interval: float = 120.0
-    #: Consecutive no-progress scan rounds before the scanner disarms.
-    orphan_scan_max_idle: int = 3
 
 
 @dataclass
@@ -139,8 +112,6 @@ class GovernorConfig:
     increase: float = 0.5
     #: Multiplicative window decrease per aborted guess.
     decrease: float = 0.5
-    #: Floor of the window (0.0 = may close to fully sequential).
-    min_limit: float = 0.0
     #: Virtual time between probe forks while the window is closed.
     probe_interval: float = 100.0
 
@@ -167,16 +138,11 @@ class OptimisticConfig:
     #: the slots after it.  ``None`` = checkpoint only at thread birth
     #: (pure Optimistic-Recovery replay).
     checkpoint_interval: Optional[int] = None
-    #: Default left-thread timeout ("implementation-defined duration", §3.2).
-    default_fork_timeout: float = 1000.0
     #: The liveness limit L (§3.3): after this many optimistic re-executions
     #: of the same fork site, it runs pessimistically.
     max_optimistic_retries: int = 3
     #: Rollback state restoration policy.
     checkpoint_policy: CheckpointPolicy = CheckpointPolicy.REPLAY
-    #: Python-level state capture implementation (COW snapshots vs legacy
-    #: full deepcopy).  Does not affect simulated semantics.
-    snapshot_policy: SnapshotPolicy = SnapshotPolicy.COW
     #: Message-to-thread delivery policy.
     delivery_heuristic: DeliveryHeuristic = DeliveryHeuristic.MIN_NEW_DEPS
     #: Verify at each join that S1 changed no non-exported state the

@@ -91,8 +91,8 @@ class SpeculationGovernor:
                 max(1.0, win.limit + self.config.increase),
             )
         else:
-            win.limit = max(self.config.min_limit,
-                            win.limit * self.config.decrease)
+            # floor 0: the window may close to fully sequential
+            win.limit = max(0.0, win.limit * self.config.decrease)
         if self.m is not None:
             self.m.gov_window.set(win.limit, now)
 

@@ -42,6 +42,14 @@ from repro.csp.payloads import CallRequest, CallResponse, OneWay, Request
 from repro.csp.plan import ForkSpec, ParallelizationPlan
 from repro.csp.process import Program
 
+#: Left-thread timeout ("implementation-defined duration", §3.2) of a fork
+#: whose ``ForkSpec.timeout`` is None.
+DEFAULT_FORK_TIMEOUT = 1000.0
+#: Period (virtual time) of the orphan re-detection scan under resilience.
+ORPHAN_SCAN_INTERVAL = 120.0
+#: Consecutive no-progress scan rounds before the scanner disarms.
+ORPHAN_SCAN_MAX_IDLE = 3
+
 
 @dataclass
 class GuessRecord:
@@ -119,8 +127,8 @@ class ProcessRuntime:
         self.m = system.runtime_metrics
         #: opt-in per-segment access recording (None = off, zero cost)
         self.access = system.access
-        #: state capture/restore layer (COW snapshots or legacy deepcopy)
-        self.snap = Snapshotter(config.snapshot_policy, self.stats)
+        #: state capture/restore layer (COW snapshots)
+        self.snap = Snapshotter(self.stats)
         #: static effects index (ROADMAP item 1), built only on opt-in —
         #: default runs never import the analyzer and pay nothing
         self.effects = None
@@ -133,8 +141,9 @@ class ProcessRuntime:
                 from repro.analyze.effects import infer_program_effects
 
                 self.effects = infer_program_effects(program)
-            except Exception:
-                self.effects = None  # analysis failure = feature off
+            except Exception as exc:
+                # analysis failure = feature off, but never silently
+                self.log_event("static_effects_unavailable", error=repr(exc))
 
         self.view = SystemView()
         self.cdg = CommitDependencyGraph(
@@ -325,14 +334,7 @@ class ProcessRuntime:
         )
         self.children[thread.tid].append(right.tid)
 
-        timeout = spec.timeout if spec.timeout is not None else (
-            self.config.default_fork_timeout
-        )
-        record.timer = self.backend.timer(
-            timeout,
-            lambda: self._on_fork_timeout(guess),
-            label=f"{self.name}.{guess.key()}.timeout",
-        )
+        self._arm_fork_timeout(record, "timeout")
         overhead = self.config.fork_overhead(spec.copy_state)
         # Track the start event so destroying the thread before it launches
         # cancels the launch (no zombie threads).
@@ -383,6 +385,15 @@ class ProcessRuntime:
             return spec.predict(state)
         finally:
             state._rec = rec
+
+    def _arm_fork_timeout(self, record: GuessRecord, tag: str) -> None:
+        """(Re)start the §3.2 divergence timer of ``record``'s left thread."""
+        guess, timeout = record.guess, record.spec.timeout
+        record.timer = self.backend.timer(
+            DEFAULT_FORK_TIMEOUT if timeout is None else timeout,
+            lambda: self._on_fork_timeout(guess),
+            label=f"{self.name}.{guess.key()}.{tag}",
+        )
 
     def _on_fork_timeout(self, guess: GuessId) -> None:
         record = self.records[guess]
@@ -1238,15 +1249,15 @@ class ProcessRuntime:
         """
         if self.config.resilience is None or self.crashed:
             return
-        interval = self.config.resilience.orphan_scan_interval
-        if interval <= 0 or self._scan_armed():
+        if self._scan_armed():
             return
         if not self._unresolved_foreign():
             self._scan_last = frozenset()
             self._scan_idle = 0
             return
         self._scan_timer = self.backend.timer(
-            interval, self._orphan_scan, label=f"{self.name}.orphan_scan",
+            ORPHAN_SCAN_INTERVAL, self._orphan_scan,
+            label=f"{self.name}.orphan_scan",
         )
 
     def _orphan_scan(self) -> None:
@@ -1264,7 +1275,7 @@ class ProcessRuntime:
         else:
             self._scan_last = unresolved
             self._scan_idle = 0
-        if self._scan_idle >= self.config.resilience.orphan_scan_max_idle:
+        if self._scan_idle >= ORPHAN_SCAN_MAX_IDLE:
             # The same doubt survived several answered rounds: the owners
             # really are undecided (e.g. a deadlocked workload), not silent.
             # Disarm so the run can reach quiescence; new arrivals re-arm.
@@ -1470,13 +1481,7 @@ class ProcessRuntime:
                 and (record.timer is None or record.timer.cancelled
                      or record.timer.fired)
             ):
-                timeout = record.spec.timeout if record.spec.timeout is not None \
-                    else self.config.default_fork_timeout
-                record.timer = self.backend.timer(
-                    timeout,
-                    lambda g=record.guess: self._on_fork_timeout(g),
-                    label=f"{self.name}.{record.guess.key()}.retimeout",
-                )
+                self._arm_fork_timeout(record, "retimeout")
         thread.replay()
 
     def _sweep_emissions(self) -> bool:

@@ -2,10 +2,9 @@
 
 The paper's analytical model (§3.1) charges an explicit *checkpoint cost*
 for every state capture, and the whole optimistic bet is that captures are
-cheap enough for speculation to win.  The runtime originally realised every
-capture as a full ``copy.deepcopy`` — on fork, on rollback restore, and on
-the ``strict_exports`` export check.  This module replaces those with
-structurally-shared snapshots:
+cheap enough for speculation to win.  Every capture — on fork, on rollback
+restore, and on the ``strict_exports`` export check — is a
+structurally-shared snapshot:
 
 * :func:`freeze` converts a state value into an immutable *frozen form*
   (scalars pass through untouched; lists/dicts/sets/tuples are converted
@@ -14,7 +13,8 @@ structurally-shared snapshots:
 * A :class:`StateSnapshot` maps state keys to frozen values.  Snapshots are
   immutable and freely shared: a fork's right-thread birth state, its
   ``strict_exports`` reference, and the thread's replay base are all the
-  *same* snapshot object, where the deepcopy path took three full copies.
+  *same* snapshot object, where a ``copy.deepcopy`` per use would take
+  three full copies.
 * :func:`thaw`/:meth:`StateSnapshot.restore` rebuild a fresh mutable state.
   Scalars (the overwhelmingly common case) are shared, not copied, so a
   restore is a near-shallow dict copy — not a deepcopy-equivalent.
@@ -27,16 +27,16 @@ structurally-shared snapshots:
   deepcopy, and counted separately).
 
 Every operation reports to a :class:`~repro.sim.stats.Stats` sink under the
-``snap.*`` namespace, so benchmarks can assert that the copy count actually
-dropped (see ``repro.bench.wallclock`` and ``Stats.perf``):
+``snap.*`` namespace (see ``Stats.perf``; ``benchmarks/e2e`` reports them
+per scheduler event as ``core.snapshot.*``):
 
 * ``snap.captures`` / ``snap.capture_hits`` / ``snap.capture_incremental``
   — captures requested / served from the version cache with no walk at
   all / rebuilt by re-freezing only the dirty keys;
 * ``snap.full_copies`` — deepcopy-equivalent full-state copies: every
-  legacy deepcopy and every fresh freeze walk counts one; cache hits and
-  structurally-shared restores count zero;
-* ``snap.restores`` — snapshot thaws (near-shallow under COW);
+  fresh freeze walk counts one; cache hits and structurally-shared
+  restores count zero;
+* ``snap.restores`` — snapshot thaws (near-shallow);
 * ``snap.deepcopy_fallbacks`` — values of unrecognized mutable types that
   had to be deep-copied inside a COW capture/restore;
 * ``snap.nodes_copied`` — bytes-equivalent traffic: container nodes and
@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import copy
 from typing import Any, Dict, Mapping, Optional, Tuple
-
-from repro.core.config import SnapshotPolicy
 
 #: Types whose instances are immutable and freely shareable between a live
 #: state and any number of snapshots.
@@ -140,32 +138,13 @@ def thaw(frozen: Any, _c: Optional[_Counter] = None) -> Any:
 
 
 class StateSnapshot:
-    """An immutable, structurally-shared capture of one state dict.
+    """An immutable, structurally-shared capture of one state dict."""
 
-    ``version`` is a process-wide monotonically increasing id, so two
-    snapshots are distinguishable (and orderable by capture time) without
-    comparing contents.
-    """
-
-    __slots__ = ("frozen", "version", "all_scalar")
-
-    _next_version = 0
+    __slots__ = ("frozen", "all_scalar")
 
     def __init__(self, frozen: Dict[str, Any], all_scalar: bool) -> None:
         self.frozen = frozen
         self.all_scalar = all_scalar
-        StateSnapshot._next_version += 1
-        self.version = StateSnapshot._next_version
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.frozen
-
-    def get_frozen(self, key: str, default: Any = None) -> Any:
-        """The frozen form stored under ``key``."""
-        return self.frozen.get(key, default)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<StateSnapshot v{self.version} keys={len(self.frozen)}>"
 
 
 class CowState(dict):
@@ -247,19 +226,14 @@ class CowState(dict):
 
 
 class Snapshotter:
-    """State capture/restore bound to one policy and one Stats sink.
+    """State capture/restore bound to one Stats sink.
 
-    Each :class:`~repro.core.runtime.ProcessRuntime` owns one, configured
-    by ``OptimisticConfig.snapshot_policy``; under ``DEEPCOPY`` every
-    operation degenerates to the original ``copy.deepcopy`` behaviour so
-    benchmarks can A/B the two implementations on identical workloads.
+    Each :class:`~repro.core.runtime.ProcessRuntime` owns one.
     """
 
-    __slots__ = ("policy", "stats")
+    __slots__ = ("stats",)
 
-    def __init__(self, policy: SnapshotPolicy = SnapshotPolicy.COW,
-                 stats: Any = None) -> None:
-        self.policy = policy
+    def __init__(self, stats: Any = None) -> None:
         self.stats = stats
 
     # ----------------------------------------------------------- accounting
@@ -280,14 +254,6 @@ class Snapshotter:
     def capture(self, state: Mapping[str, Any]) -> StateSnapshot:
         """Snapshot ``state``; counts one full copy unless cache-served."""
         self._count("snap.captures")
-        if self.policy is SnapshotPolicy.DEEPCOPY:
-            self._count("snap.full_copies")
-            self._count("snap.nodes_copied", len(state))
-            return StateSnapshot(
-                {k: (_FALLBACK_TAG, copy.deepcopy(v))
-                 for k, v in state.items()},
-                all_scalar=False,
-            )
         if isinstance(state, CowState) and state._snap_cache is not None:
             cache = state._snap_cache
             if state._snap_version == state._version:
@@ -341,19 +307,6 @@ class Snapshotter:
         frozen anew — this is what makes a fork's guessed-state snapshot a
         partial copy instead of a third full one.
         """
-        if self.policy is SnapshotPolicy.DEEPCOPY:
-            # Mirror the original code path, which deep-copied the merged
-            # state once more when the right thread captured its birth
-            # state — the A/B baseline must pay what the old code paid.
-            merged = {k: v[1] for k, v in base.frozen.items()}
-            merged.update(overlay)
-            self._count("snap.full_copies")
-            self._count("snap.nodes_copied", len(merged))
-            return StateSnapshot(
-                {k: (_FALLBACK_TAG, copy.deepcopy(v))
-                 for k, v in merged.items()},
-                all_scalar=False,
-            )
         if not overlay:
             return base
         c = _Counter()
@@ -375,23 +328,19 @@ class Snapshotter:
                 into: Optional[dict] = None) -> dict:
         """A fresh mutable state from ``snap`` (into ``into`` if given).
 
-        Under COW this shares immutable leaves with the snapshot — it is
-        *not* counted as a full copy; only rebuilt mutable containers and
+        This shares immutable leaves with the snapshot — it is *not*
+        counted as a full copy; only rebuilt mutable containers and
         deepcopy fallbacks add copy traffic.
         """
         self._count("snap.restores")
         c = _Counter()
-        if self.policy is SnapshotPolicy.DEEPCOPY:
-            self._count("snap.full_copies")
-            items = {k: copy.deepcopy(v[1]) for k, v in snap.frozen.items()}
-            c.nodes += len(items)
-        elif snap.all_scalar:
+        if snap.all_scalar:
             items = dict(snap.frozen)
         else:
             items = {k: thaw(v, c) for k, v in snap.frozen.items()}
         self._flush(c)
         if into is None:
-            if self.policy is SnapshotPolicy.COW and snap.all_scalar:
+            if snap.all_scalar:
                 # A state born from an all-scalar snapshot *is* that
                 # snapshot until mutated: pre-install the capture cache so
                 # the thread's next checkpoint is a hit or an incremental.
@@ -401,8 +350,7 @@ class Snapshotter:
             return items
         into.update(items)
         if (
-            self.policy is SnapshotPolicy.COW
-            and snap.all_scalar
+            snap.all_scalar
             and isinstance(into, CowState)
             and len(into) == len(snap.frozen)
         ):
@@ -411,27 +359,9 @@ class Snapshotter:
             _install_cache(into, snap)
         return into
 
-    # ------------------------------------------------------- one-off copies
-
     def copy_state(self, state: Mapping[str, Any]) -> dict:
         """Independent mutable copy of a state dict (capture + restore)."""
-        if self.policy is SnapshotPolicy.DEEPCOPY:
-            self._count("snap.captures")
-            self._count("snap.full_copies")
-            self._count("snap.nodes_copied", len(state))
-            return copy.deepcopy(dict(state))
         return self.restore(self.capture(state))
-
-    def copy_value(self, value: Any) -> Any:
-        """Independent copy of one state value (freeze + thaw)."""
-        if isinstance(value, _SCALARS):
-            return value
-        if self.policy is SnapshotPolicy.DEEPCOPY:
-            return copy.deepcopy(value)
-        c = _Counter()
-        out = thaw(freeze(value, c), c)
-        self._flush(c)
-        return out
 
     # ----------------------------------------------------- strict_exports
 

@@ -70,22 +70,13 @@ class ReliableTransport:
         #: slotted wheel for the retransmission-timer army: one scheduler
         #: event per slot instead of per in-flight frame (0 = per-frame
         #: exact timers, the seed behaviour)
-        granularity = getattr(config, "timer_wheel_granularity", 0.0)
+        granularity = config.timer_wheel_granularity
         self._wheel = scheduler.wheel(granularity) if granularity > 0 else None
 
     # ------------------------------------------------------------ assembly
 
     def add_participant(self, name: str) -> None:
         self.participants.add(name)
-
-    def _framed(self, src: str, dst: str, control: bool) -> bool:
-        if src not in self.participants or dst not in self.participants:
-            return False
-        return (
-            self.config.reliable_control
-            if control
-            else self.config.reliable_data
-        )
 
     # ------------------------------------------------------------- sending
 
@@ -98,8 +89,8 @@ class ReliableTransport:
         control: bool = False,
         size: int = 1,
     ) -> None:
-        """Send ``msg``, framing it when the channel is covered."""
-        if not self._framed(src, dst, control):
+        """Send ``msg``, framed (either plane) between two participants."""
+        if src not in self.participants or dst not in self.participants:
             self.network.send(src, dst, msg, control=control, size=size)
             return
         plane = PLANE_CONTROL if control else PLANE_DATA
@@ -125,7 +116,7 @@ class ReliableTransport:
             entry.timer = self._wheel.after(rto, lambda: self._on_rto(entry))
             return
         scheduler = self.scheduler
-        if scheduler.debug_labels or scheduler.tracer.enabled:
+        if scheduler.tracer.enabled:
             label = f"rto {wire.src}->{wire.dst}.{wire.plane}.{wire.seq}"
         else:
             label = "rto"
@@ -191,7 +182,7 @@ class ReliableTransport:
         """
         for key in [
             k for k, e in self._pending.items()
-            if e.wire.src == name and e.wire.plane == "control"
+            if e.wire.src == name and e.wire.plane == PLANE_CONTROL
         ]:
             entry = self._pending.pop(key)
             if entry.timer is not None:

@@ -36,7 +36,7 @@ Typical use::
 
 from .access import (AccessTracker, ConflictMatrix, ObservedState,
                      SegmentAccess, chan_key, conflicts, sink_key)
-from .api import RunResult, deprecated_alias
+from .api import RunResult
 from .critical_path import CriticalPath, PathStep, critical_path
 from .export import (TS_SCALE, chrome_trace, chrome_trace_json,
                      prometheus_text, spans_to_jsonl, write_chrome_trace,
@@ -78,5 +78,5 @@ __all__ = [
     "VALUE_FAULT", "TIME_FAULT", "CASCADE_ORPHAN",
     "CriticalPath", "PathStep", "critical_path",
     # result surface
-    "RunResult", "deprecated_alias",
+    "RunResult",
 ]

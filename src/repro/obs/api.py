@@ -9,16 +9,10 @@ the common protocol they all now satisfy:
 * ``stats``           — the :class:`~repro.sim.stats.Stats` backing store;
 * ``trace``           — per-message :class:`TraceEvent` list (may be empty);
 * ``spans``           — observability spans (empty unless traced).
-
-Renamed attributes keep working through :func:`deprecated_alias`
-properties that forward to the new name and raise a
-:class:`DeprecationWarning` on *every* access, naming the release in
-which the alias will be removed.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, List, Protocol, runtime_checkable
 
 from repro.sim.stats import Stats
@@ -35,24 +29,3 @@ class RunResult(Protocol):
     trace: List[Any]
     spans: List[Span]
 
-
-def deprecated_alias(owner: str, old: str, new: str, *,
-                     removal: str) -> property:
-    """A read-only property forwarding ``old`` to ``new``.
-
-    Every access warns (no warn-once suppression: callers migrating code
-    should see each remaining use) and the message states the release in
-    which the alias disappears, so the deprecation is actionable rather
-    than a permanent compatibility shim.
-    """
-
-    def getter(self: Any) -> Any:
-        warnings.warn(
-            f"{owner}.{old} is deprecated and will be removed in "
-            f"repro {removal}; use {owner}.{new}",
-            DeprecationWarning, stacklevel=2)
-        return getattr(self, new)
-
-    getter.__doc__ = (f"Deprecated alias for ``{new}`` "
-                      f"(removed in repro {removal}).")
-    return property(getter)

@@ -16,8 +16,8 @@ comparisons, when the clock reaches it.  Pushes into the bucket currently
 being drained (the common "schedule at now + 0" case) use ``bisect.insort``
 over the undrained suffix, preserving exact ``(time, priority, seq)``
 order.  ``tests/test_kernel_queue.py`` replays identical scripts through
-this queue and the preserved seed heap (:mod:`repro.sim.legacy_events`)
-and requires identical pop sequences.
+this queue and a reference binary heap (``tests/reference_heap.py``) and
+requires identical pop sequences.
 
 Cancellation stays O(1) and lazy, but no longer unbounded: when the number
 of cancelled-but-still-queued entries exceeds both a floor and the live

@@ -246,13 +246,13 @@ class Network:
 
         Hot path: the delivery event is fire-and-forget (no cancellable
         handle), the label is only formatted when someone will read it
-        (tracer attached or ``debug_labels``), and the stat keys are
+        (tracer attached), and the stat keys are
         interned constants — per-message f-strings are measurable at
         million-event scale (see ``repro.bench.kernel``).
         """
         handler = self._handlers[dst]
         scheduler = self.scheduler
-        if scheduler.debug_labels or scheduler.tracer.enabled:
+        if scheduler.tracer.enabled:
             label = f"deliver {src}->{dst}"
         else:
             label = "deliver"

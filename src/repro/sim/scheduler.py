@@ -8,10 +8,9 @@ This is the hottest loop in the repository — every message, timer, and
 control frame of every benchmark flows through :meth:`Scheduler.step` — so
 it follows the zero-cost-observability contract (see ``docs/PERF.md``):
 no formatting, no dict building, and no counter churn happen per event
-unless a tracer with ``enabled = True`` is attached or ``debug_labels``
-is set.  Kernel-health counters are *pull-based*: the queue and timer
-wheels count internally and :meth:`kernel_counters` harvests them once at
-end of run.
+unless a tracer with ``enabled = True`` is attached.  Kernel-health
+counters are *pull-based*: the queue and timer wheels count internally and
+:meth:`kernel_counters` harvests them once at end of run.
 """
 
 from __future__ import annotations
@@ -79,20 +78,15 @@ class Scheduler:
         are recorded as ``timer`` events.  Defaults to the no-op tracer.
     queue:
         Event-queue instance; defaults to the calendar queue
-        (:class:`~repro.sim.events.EventQueue`).  The A/B kernel bench
-        passes the preserved seed heap
-        (:class:`repro.sim.legacy_events.EventQueue`) here.
-    debug_labels:
-        When True, callers that format rich per-event labels (the network,
-        the transport) do so even without a tracer attached.  Off by
-        default: label formatting is measurable on million-event runs.
+        (:class:`~repro.sim.events.EventQueue`).  The test suite passes
+        its reference binary heap (``tests/reference_heap.py``) here.
     """
 
     __slots__ = ("clock", "queue", "max_steps", "steps_executed", "tracer",
-                 "debug_labels", "_fast_schedule", "_wheels")
+                 "_fast_schedule", "_wheels")
 
     def __init__(self, max_steps: int = 1_000_000, tracer=None, *,
-                 queue=None, debug_labels: bool = False) -> None:
+                 queue=None) -> None:
         from repro.obs.tracer import NULL_TRACER
 
         self.clock = VirtualClock()
@@ -100,7 +94,6 @@ class Scheduler:
         self.max_steps = max_steps
         self.steps_executed = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.debug_labels = debug_labels
         #: bound no-handle fast path when the queue offers one
         self._fast_schedule = getattr(self.queue, "schedule", None)
         self._wheels: dict[float, object] = {}

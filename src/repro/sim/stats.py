@@ -54,9 +54,8 @@ class Stats:
         The runtime's implementation-cost counters live under ``snap.*``
         (snapshots taken, deepcopy-equivalent full copies, bytes-equivalent
         nodes copied, deepcopy fallbacks); guard-tag traffic is
-        ``opt.guard_tag_units``.  The wall-clock harness
-        (``repro.bench.wallclock``) reads these to assert the copy count
-        actually dropped.
+        ``opt.guard_tag_units``.  ``benchmarks/e2e`` reports them per
+        scheduler event (``core.snapshot.*``).
         """
         return {
             k: v for k, v in sorted(self.counters.items())

@@ -1,18 +1,14 @@
-"""The seed binary-heap event queue, preserved verbatim for A/B benching.
+"""The seed binary-heap event queue, preserved verbatim as a test reference.
 
 This module is the pre-optimization kernel: a ``heapq``-backed queue of
 ``@dataclass(order=True)`` events, exactly as the repository shipped it
 before the calendar-queue rewrite of :mod:`repro.sim.events`.  It exists
-for two reasons:
+for the drop-in-equivalence tests (``tests/test_kernel_queue.py``), which
+replay identical push/cancel/pop scripts through both queues and require
+identical pop sequences — which is what licenses the calendar queue being
+the only one shipped.
 
-* ``repro.bench.kernel`` runs every synthetic workload against both
-  implementations and gates on the throughput ratio, so the speedup claim
-  in ``BENCH_kernel.json`` is measured, not remembered;
-* the drop-in-equivalence tests (``tests/test_kernel_queue.py``) replay
-  identical push/cancel/pop scripts through both queues and require
-  identical pop sequences, which is what licenses swapping the default.
-
-Do not "optimize" this file — its slowness is the baseline.
+Do not "optimize" this file — its plainness is what makes it a reference.
 """
 
 from __future__ import annotations

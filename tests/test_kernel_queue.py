@@ -1,7 +1,7 @@
 """Drop-in equivalence of the calendar queue and the seed heap queue.
 
 The calendar queue (:mod:`repro.sim.events`) replaced the seed's binary
-heap (:mod:`repro.sim.legacy_events`) for throughput; its *semantics*
+heap (``tests/reference_heap.py``) for throughput; its *semantics*
 must be identical — (time, priority, FIFO-seq) ordering, lazy
 cancellation, ``peek_time``, ``run(until=...)`` boundaries.  Every test
 here is parameterized over both implementations, and the determinism
@@ -13,14 +13,15 @@ import random
 
 import pytest
 
-from repro.sim import legacy_events
 from repro.sim.events import PRIORITY_CONTROL, PRIORITY_NORMAL
 from repro.sim.events import EventQueue as CalendarQueue
 from repro.sim.scheduler import Scheduler
 
+from . import reference_heap
+
 QUEUES = [
     pytest.param(CalendarQueue, id="calendar"),
-    pytest.param(legacy_events.EventQueue, id="legacy-heap"),
+    pytest.param(reference_heap.EventQueue, id="legacy-heap"),
 ]
 
 
@@ -117,7 +118,7 @@ def test_calendar_matches_heap_on_random_scripts(seed):
     """Both queues produce the identical pop sequence for the same script."""
     script = _random_script(seed, 400)
     assert (_run_script(CalendarQueue, script)
-            == _run_script(legacy_events.EventQueue, script))
+            == _run_script(reference_heap.EventQueue, script))
 
 
 @pytest.mark.parametrize("queue_cls", QUEUES)

@@ -1,7 +1,6 @@
 """The observability layer: tracer, span schema, metrics, exporters."""
 
 import json
-import warnings
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.obs import (
     as_spans,
     chrome_trace,
     chrome_trace_json,
-    deprecated_alias,
     prometheus_text,
     span_from_dict,
     spans_from_protocol_log,
@@ -209,23 +207,3 @@ def test_validate_spans_flags_malformed():
     validate_spans(unresolved)  # lenient by default
     with pytest.raises(TraceValidationError):
         validate_spans(unresolved, strict=True)
-
-
-# ------------------------------------------------------------ deprecation
-
-def test_deprecated_alias_warns_every_access_with_removal_date():
-    class Legacy:
-        completion_time = 7.0
-
-    Legacy.makespan = deprecated_alias("LegacyTestOnly", "makespan",
-                                       "completion_time", removal="0.3.0")
-    obj = Legacy()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert obj.makespan == 7.0
-        assert obj.makespan == 7.0
-    assert len(caught) == 2
-    for warning in caught:
-        assert issubclass(warning.category, DeprecationWarning)
-        assert "will be removed in repro 0.3.0" in str(warning.message)
-        assert "LegacyTestOnly.completion_time" in str(warning.message)

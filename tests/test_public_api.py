@@ -1,10 +1,13 @@
 """The public API surface: everything advertised must import and work."""
 
+import dataclasses
 import importlib
+import pathlib
 
 import pytest
 
 import repro
+from repro.core import config
 
 
 def test_version():
@@ -196,3 +199,39 @@ def test_every_mode_is_a_runresult_with_spans():
         assert isinstance(result, repro.RunResult), result
         assert result.spans, result
         repro.obs.validate_spans(result.spans)
+
+
+#: Every configuration field there is.  Asserted *exactly*, and every name
+#: must appear in the knob table of docs/USAGE.md with its justification:
+#: a new knob fails here until it is documented and someone has said why
+#: a constant would not do.
+CONFIG_FIELDS = {
+    "OptimisticConfig": {
+        "fork_cost", "state_copy_cost", "restore_cost",
+        "checkpoint_interval", "max_optimistic_retries",
+        "checkpoint_policy", "delivery_heuristic", "strict_exports",
+        "early_reply_abort", "eager_cdg_rollback", "compress_guards",
+        "control_plane", "static_effects", "max_steps", "resilience",
+        "governor",
+    },
+    "ResilienceConfig": {
+        "retransmit_timeout", "retransmit_backoff",
+        "retransmit_timeout_max", "max_retransmits",
+        "timer_wheel_granularity",
+    },
+    "GovernorConfig": {
+        "max_depth", "increase", "decrease", "probe_interval",
+    },
+}
+
+
+@pytest.mark.parametrize("cls_name", sorted(CONFIG_FIELDS))
+def test_config_fields_are_pinned_and_documented(cls_name):
+    names = {f.name for f in dataclasses.fields(getattr(config, cls_name))}
+    assert names == CONFIG_FIELDS[cls_name]
+    usage = (pathlib.Path(__file__).parent.parent / "docs" / "USAGE.md")
+    table_rows = [line for line in usage.read_text().splitlines()
+                  if line.startswith("| `")]
+    for name in names:
+        assert any(f"`{name}`" in row.split("|")[1] for row in table_rows), \
+            f"{cls_name}.{name} is missing from the knob table of USAGE.md"

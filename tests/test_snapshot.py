@@ -1,12 +1,12 @@
 """The copy-on-write snapshot layer (repro.core.snapshot).
 
 Three obligations: (1) freeze/thaw is an observational round-trip for the
-value shapes thread state actually holds; (2) a whole optimistic run under
-``SnapshotPolicy.COW`` is indistinguishable — traces, final states, virtual
-makespan, rollback counts — from one under the legacy ``DEEPCOPY`` policy;
-(3) the layer actually earns its keep: far fewer deepcopy-equivalent full
-copies on fork-heavy workloads, and the ``strict_exports`` check still
-catches mutated-after-send payloads under both policies.
+value shapes thread state actually holds; (2) a whole optimistic run on
+COW snapshots is indistinguishable — traces, final states, virtual
+makespan, rollback counts — from one on the ``copy.deepcopy`` reference
+below; (3) the layer actually earns its keep: no full copy per fork on
+fork-heavy workloads, and the ``strict_exports`` check still catches
+mutated-after-send payloads on both implementations.
 """
 
 import copy
@@ -14,10 +14,12 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import CheckpointPolicy, OptimisticConfig, SnapshotPolicy
+from repro.core.config import CheckpointPolicy, OptimisticConfig
 from repro.core.snapshot import (
+    _FALLBACK_TAG,
     CowState,
     Snapshotter,
+    StateSnapshot,
     freeze,
     live_state,
     thaw,
@@ -33,12 +35,49 @@ from repro.workloads.random_programs import (
 )
 
 
-def cow_config(**kw):
-    return OptimisticConfig(snapshot_policy=SnapshotPolicy.COW, **kw)
+class DeepcopySnapshotter(Snapshotter):
+    """Reference implementation: one full ``copy.deepcopy`` per capture,
+    per derive and per restore — what the runtime did before COW."""
+
+    def _deep(self, state):
+        self._count("snap.full_copies")
+        self._count("snap.nodes_copied", len(state))
+        return {k: copy.deepcopy(v) for k, v in state.items()}
+
+    def capture(self, state):
+        self._count("snap.captures")
+        return StateSnapshot(
+            {k: (_FALLBACK_TAG, v) for k, v in self._deep(state).items()},
+            all_scalar=False)
+
+    def derive(self, base, overlay):
+        merged = {k: v[1] for k, v in base.frozen.items()}
+        merged.update(overlay)
+        return StateSnapshot(
+            {k: (_FALLBACK_TAG, v) for k, v in self._deep(merged).items()},
+            all_scalar=False)
+
+    def restore(self, snap, into=None):
+        self._count("snap.restores")
+        items = self._deep({k: v[1] for k, v in snap.frozen.items()})
+        if into is None:
+            return items
+        into.update(items)
+        return into
 
 
-def deepcopy_config(**kw):
-    return OptimisticConfig(snapshot_policy=SnapshotPolicy.DEEPCOPY, **kw)
+def run_cow(build):
+    return build().run()
+
+
+def run_deepcopy(build):
+    """Build and run a system whose runtimes snapshot by deepcopy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.core.runtime.Snapshotter", DeepcopySnapshotter)
+        system = build()
+        assert all(type(rt.snap) is DeepcopySnapshotter
+                   for rt in system.runtimes.values())
+        return system.run()
 
 
 # --------------------------------------------------------------- freeze/thaw
@@ -66,10 +105,10 @@ def test_freeze_thaw_roundtrip(value):
 @settings(max_examples=100, deadline=None)
 @given(value=state_values)
 def test_cow_copy_value_is_independent(value):
-    snap = Snapshotter(SnapshotPolicy.COW, Stats())
-    out = snap.copy_value(value)
-    assert out == value
+    out = thaw(freeze(value))
     assert out == copy.deepcopy(value)  # same observable result
+    if isinstance(value, (list, dict, set)):
+        assert out is not value
 
 
 def test_frozen_forms_distinguish_container_types():
@@ -88,12 +127,15 @@ def test_freeze_falls_back_to_deepcopy_for_unknown_types():
             return isinstance(other, Box) and other.v == self.v
 
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     box = Box([1, 2])
-    out = snap.copy_value(box)
+    out = thaw(freeze(box))
     assert out == box
     assert out is not box
     assert out.v is not box.v  # deep, not shallow
+    # the same inside a state capture/restore, where it is counted
+    restored = snap.restore(snap.capture({"box": box}))["box"]
+    assert restored == box and restored.v is not box.v
     assert stats.get("snap.deepcopy_fallbacks") > 0
 
 
@@ -101,7 +143,7 @@ def test_freeze_falls_back_to_deepcopy_for_unknown_types():
 
 def test_unchanged_all_scalar_state_capture_is_cached():
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     state = live_state({"a": 1, "b": "x"})
     first = snap.capture(state)
     second = snap.capture(state)
@@ -112,7 +154,7 @@ def test_unchanged_all_scalar_state_capture_is_cached():
 
 def test_scalar_write_triggers_incremental_not_full_capture():
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     state = live_state({"a": 1, "b": 2})
     first = snap.capture(state)
     state["a"] = 5
@@ -126,7 +168,7 @@ def test_scalar_write_triggers_incremental_not_full_capture():
 
 def test_key_deletion_falls_back_to_full_walk():
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     state = live_state({"a": 1, "b": 2})
     snap.capture(state)
     del state["a"]
@@ -137,7 +179,7 @@ def test_key_deletion_falls_back_to_full_walk():
 
 def test_mutable_value_defeats_the_cache_but_stays_correct():
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     state = live_state({"log": [1], "n": 0})
     first = snap.capture(state)
     state["log"].append(2)  # in-place: invisible to version tracking...
@@ -151,7 +193,7 @@ def test_mutable_value_defeats_the_cache_but_stays_correct():
 
 def test_restore_preinstalls_cache_on_fresh_state():
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     born = snap.restore(snap.capture({"a": 1, "b": 2}))
     assert isinstance(born, CowState)
     recapture = snap.capture(born)  # unchanged since birth
@@ -165,7 +207,7 @@ def test_restore_preinstalls_cache_on_fresh_state():
 
 def test_derive_shares_base_and_applies_overlay():
     stats = Stats()
-    snap = Snapshotter(SnapshotPolicy.COW, stats)
+    snap = Snapshotter(stats)
     base = snap.capture({"a": 1, "b": 2})
     derived = snap.derive(base, {"b": 7, "c": 8})
     assert snap.restore(derived) == {"a": 1, "b": 7, "c": 8}
@@ -210,10 +252,10 @@ def assert_runs_identical(cow, dc):
 @settings(max_examples=40, deadline=None)
 @given(spec=specs)
 def test_cow_equals_deepcopy_on_random_programs(spec):
-    cow = build_random_system(spec, optimistic=True,
-                              config=cow_config()).run()
-    dc = build_random_system(spec, optimistic=True,
-                             config=deepcopy_config()).run()
+    def build():
+        return build_random_system(spec, optimistic=True)
+
+    cow, dc = run_cow(build), run_deepcopy(build)
     assert_runs_identical(cow, dc)
     assert cow.sink_output("display") == dc.sink_output("display")
 
@@ -226,23 +268,21 @@ def test_cow_equals_deepcopy_on_abort_heavy_duplex(seed, bias, policy,
                                                    interval):
     spec = DuplexSpec(n_steps=5, n_signals=2, seed=seed,
                       wrong_guess_bias=bias)
-    cow = build_duplex_system(
-        spec, optimistic=True,
-        config=cow_config(checkpoint_policy=policy,
-                          checkpoint_interval=interval)).run()
-    dc = build_duplex_system(
-        spec, optimistic=True,
-        config=deepcopy_config(checkpoint_policy=policy,
-                               checkpoint_interval=interval)).run()
-    assert_runs_identical(cow, dc)
+
+    def build():
+        return build_duplex_system(
+            spec, optimistic=True,
+            config=OptimisticConfig(checkpoint_policy=policy,
+                                    checkpoint_interval=interval))
+
+    assert_runs_identical(run_cow(build), run_deepcopy(build))
 
 
 def test_cow_matches_sequential_reference():
     spec = RandomProgramSpec(n_segments=6, seed=42, branch_probability=0.4,
                              guess_accuracy_bias=2)
     seq = build_random_system(spec, optimistic=False).run()
-    cow = build_random_system(spec, optimistic=True,
-                              config=cow_config()).run()
+    cow = build_random_system(spec, optimistic=True).run()
     assert cow.unresolved == []
     assert_equivalent(cow.trace, seq.trace)
 
@@ -250,15 +290,17 @@ def test_cow_matches_sequential_reference():
 # ------------------------------------------------------------ copy counting
 
 def test_cow_at_least_3x_fewer_full_copies_on_fork_heavy_chain():
+    # A deepcopy implementation pays three full copies a fork (capture,
+    # derive, restore).  COW pays one walk per process for its initial
+    # state and none per fork, however many forks there are.
     spec = ChainSpec(n_calls=30, n_servers=2, p_fail=0.0)
-    cow = run_chain_optimistic(spec, cow_config())
-    dc = run_chain_optimistic(spec, deepcopy_config())
-    assert cow.makespan == dc.makespan
-    assert cow.stats.full_copies() * 3 <= dc.stats.full_copies()
+    cow = run_chain_optimistic(spec, OptimisticConfig())
+    assert cow.stats.get("opt.forks") == 29
+    assert cow.stats.full_copies() <= spec.n_servers + 1
 
 
 def test_perf_counters_exposed_under_snap_namespace():
-    res = run_chain_optimistic(ChainSpec(n_calls=6), cow_config())
+    res = run_chain_optimistic(ChainSpec(n_calls=6), OptimisticConfig())
     perf = res.stats.perf("snap.")
     assert "snap.captures" in perf
     assert "snap.full_copies" in perf
@@ -268,7 +310,7 @@ def test_perf_counters_exposed_under_snap_namespace():
 
 # ------------------------------------------------------- strict_exports
 
-def _leaky_system(config):
+def _leaky_system():
     """S1 mutates a state key it does not export (must be caught)."""
     from repro.csp.effects import Call
     from repro.csp.plan import ForkSpec, ParallelizationPlan
@@ -288,14 +330,14 @@ def _leaky_system(config):
                          Segment("s2", s2)],
                    initial_state={"hidden": []})
     plan = ParallelizationPlan().add("s1", ForkSpec(predictor={"ok": True}))
-    system = OptimisticSystem(FixedLatency(2.0), config=config)
+    system = OptimisticSystem(FixedLatency(2.0))
     system.add_program(prog, plan)
     system.add_program(server_program("srv", lambda s, r: True))
     return system
 
 
-@pytest.mark.parametrize("config", [cow_config(), deepcopy_config()],
+@pytest.mark.parametrize("run", [run_cow, run_deepcopy],
                          ids=["cow", "deepcopy"])
-def test_strict_exports_catches_inplace_mutation_under_both_policies(config):
+def test_strict_exports_catches_inplace_mutation_under_both_policies(run):
     with pytest.raises(ProgramError, match="hidden"):
-        _leaky_system(config).run()
+        run(_leaky_system)

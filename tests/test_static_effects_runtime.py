@@ -171,3 +171,29 @@ def test_default_config_leaves_speculation_unchanged():
     assert result.stats.get("opt.guesses_deferred") == 0
     assert result.stats.get("opt.guess_free_forks") == 0
     assert result.stats.get("opt.commutative_repairs") == 0
+
+
+def test_analyzer_failure_turns_the_feature_off_and_says_so(monkeypatch):
+    def broken(program):
+        raise RuntimeError("analyzer exploded")
+
+    monkeypatch.setattr("repro.analyze.effects.infer_program_effects", broken)
+    program, plan = _deferral_program()
+    system = OptimisticSystem(FixedLatency(2.0),
+                              config=OptimisticConfig(static_effects=True))
+    runtime = system.add_program(program, plan)
+    system.add_program(_server())
+    result = system.run()
+    assert runtime.effects is None
+    events = [e for e in result.protocol_log
+              if e["kind"] == "static_effects_unavailable"]
+    # one per runtime that asked for the analysis: the client and the server
+    assert [e["process"] for e in events] == ["client", "S"]
+    assert all(e["error"] == "RuntimeError('analyzer exploded')"
+               for e in events)
+    # committed output is that of a run that never asked
+    monkeypatch.undo()
+    baseline = _run(program, plan, static=False)
+    assert result.trace == baseline.trace
+    assert result.final_states == baseline.final_states
+    assert result.makespan == baseline.makespan
