@@ -24,7 +24,10 @@ lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analyze.soundness
 ifeq ($(LINT_TOOLS),run)
 	$(PYTHON) -m ruff check src/repro tests examples
-	PYTHONPATH=src $(PYTHON) -m mypy src/repro/csp src/repro/core/messages.py
+	PYTHONPATH=src $(PYTHON) -m mypy src/repro/csp src/repro/core/messages.py \
+		src/repro/core/output.py src/repro/core/pool.py \
+		src/repro/core/control.py src/repro/core/recovery.py \
+		src/repro/core/certificates.py
 else
 	@echo "LINT_TOOLS=$(LINT_TOOLS): skipping ruff/mypy (pinned dev deps; pip install -e '.[dev]' to enable)"
 endif

@@ -1,6 +1,6 @@
 """Experiment C11 — the anatomy of speculation under increasing fault rates.
 
-Uses the protocol-log analysis tools to expose the quantities the paper
+Uses the span analysis tools to expose the quantities the paper
 reasons about informally: how deep speculation runs, how long guesses stay
 in doubt, how large the abort cascades get as guesses degrade — and, via
 the forensics layer, how much traced segment time each fault rate wastes
@@ -26,7 +26,7 @@ def run_point(p_fail: float, seeds=range(5)):
                          service_time=0.5, p_fail=p_fail, seed=seed)
         tracer = RecordingTracer()
         res = run_chain_optimistic(spec, tracer=tracer)
-        rows.append((summarize(res.protocol_log),
+        rows.append((summarize(res.spans),
                      wasted_work(res.spans),
                      critical_path(res.spans)))
     return rows

@@ -11,6 +11,7 @@ Run:  python examples/speculation_anatomy.py
 from repro.core import OptimisticSystem, stream_plan
 from repro.core.analysis import speculation_depth_series
 from repro.core.gc import collect_all, retained_footprint
+from repro.obs.tracer import RecordingTracer
 from repro.sim.network import FixedLatency
 from repro.workloads.generators import ChainSpec, chain_workload
 
@@ -19,7 +20,8 @@ def main() -> None:
     spec = ChainSpec(n_calls=12, n_servers=2, latency=5.0,
                      service_time=0.4, p_fail=0.3, seed=21)
     client, servers = chain_workload(spec)
-    system = OptimisticSystem(FixedLatency(spec.latency))
+    system = OptimisticSystem(FixedLatency(spec.latency),
+                              tracer=RecordingTracer())
     system.add_program(client, stream_plan(client))
     for s in servers:
         system.add_program(s)
@@ -33,7 +35,7 @@ def main() -> None:
         print(f"  {line}")
 
     print("\nspeculation depth over time:")
-    series = speculation_depth_series(result.protocol_log)
+    series = speculation_depth_series(result.spans)
     peak = max(d for _, d in series)
     shown = set()
     for t, depth in series:

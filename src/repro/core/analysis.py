@@ -5,11 +5,9 @@ about informally: how deep speculation ran, how long guesses stayed in
 doubt, how much work each abort destroyed, and where the completion time
 actually went.
 
-Every function takes a *span source*: a result object (anything with a
-``spans`` or ``protocol_log`` attribute), a list of :class:`Span`, or a
-raw protocol-log list of dicts (adapted on the fly).  This keeps the
-pre-tracer call sites — ``summarize(result.protocol_log)`` — working
-unchanged while the span schema is the native input.
+Every function takes a *span source*: a list of :class:`Span` or a result
+object with a ``spans`` attribute, i.e. a run traced with
+``tracer=RecordingTracer()``.
 """
 
 from __future__ import annotations

@@ -88,17 +88,17 @@ def collect(runtime: ProcessRuntime) -> Dict[str, int]:
             continue  # its rollback bookkeeping may still matter
         del runtime.records[guess]
         reclaimed["records"] += 1
-        if runtime.dependents.pop(guess, None) is not None:
+        if runtime.control.dependents.pop(guess, None) is not None:
             reclaimed["dependents"] += 1
 
     # 4. dependent sets of foreign resolved guesses
-    for guess in list(runtime.dependents):
+    for guess in list(runtime.control.dependents):
         if runtime.view.status(guess).resolved:
-            del runtime.dependents[guess]
+            del runtime.control.dependents[guess]
             reclaimed["dependents"] += 1
 
     for key, value in reclaimed.items():
-        runtime.stats.incr(f"gc.{key}", value)
+        runtime.system.stats.incr(f"gc.{key}", value)
     return reclaimed
 
 

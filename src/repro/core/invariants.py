@@ -12,7 +12,8 @@ I1  Resolution totality — every guess ever forked is committed or aborted
     unresolved (Fig. 7's deadlock).
 I2  Commit stability — no guess both commits and aborts.
 I3  Guard emptiness — no live thread still holds an uncommitted guess.
-I4  Orphan hygiene — no message pool retains a consumable orphan.
+I4  Orphan hygiene — no message pool retains an envelope that is not an
+    orphan and that a blocked thread would take.
 I5  Output commit — every released emission's guards committed; every
     dropped emission depended on an aborted guess; nothing is left
     buffered.
@@ -84,18 +85,23 @@ def validate_run(system: OptimisticSystem,
                     f"I6: {name}.t{thread.tid} still replaying "
                     f"(cursor {thread.journal.cursor}/{len(thread.journal)})"
                 )
-        # I4 orphan hygiene: anything left in the pool must be orphaned or
-        # undeliverable because its target never receives again — a clean
-        # fault-free run leaves nothing consumable by a blocked thread.
-        for envelope in rt.pool:
-            if rt.view.any_aborted(envelope.guard):
-                continue  # an orphan that was never dispatched: fine
-        # I5 output commit
-        for em in rt.emissions:
-            if not em.released and not em.dropped:
+        # I4 orphan hygiene: what is left in the pool must be orphaned (an
+        # orphan never dispatched is fine) or undeliverable because nobody
+        # receives it any more — nothing a blocked thread would take.
+        for envelope in rt.inbox.envelopes:
+            if rt.inbox.is_orphan(envelope):
+                continue
+            taker = rt.inbox.taker(envelope, rt.threads.values())
+            if taker is not None:
                 problems.append(
-                    f"I5: {name} emission #{em.emission_id} left buffered"
+                    f"I4: {name} pool retains envelope {envelope.msg_id} "
+                    f"that t{taker.tid} would take"
                 )
+        # I5 output commit
+        for em in rt.output.unsettled():
+            problems.append(
+                f"I5: {name} emission #{em.emission_id} left buffered"
+            )
         # I7 incarnation order
         own = rt.view.peer(name).incarnations
         starts = own.starts

@@ -1,0 +1,189 @@
+"""The message pool (§4.2.3): arrival, orphan test, matching, delivery.
+
+:class:`MessagePool` holds the data envelopes of one process until a thread
+can consume them.  It discards orphans (envelopes guarded by an aborted
+guess) on arrival and at each dispatch pass, matches replies to the caller
+and requests to a blocked receiver chosen by the delivery heuristic,
+extends the consumer's guard, and takes back what a rolled-back thread had
+consumed.  :meth:`MessagePool.taker` is the one "which thread, if any,
+takes this envelope" predicate.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterable, List, Optional, Set, Tuple
+
+from repro.core.config import DeliveryHeuristic
+from repro.core.guess import GuessId
+from repro.core.history import GuessStatus, SystemView
+from repro.core.journal import RESULT, Slot
+from repro.core.messages import DataEnvelope
+from repro.core.thread import OptimisticThread, ThreadStatus
+from repro.csp.payloads import CallRequest, CallResponse, OneWay, Request
+from repro.errors import ProtocolError
+from repro.obs import spans as ob
+
+
+class MessagePool:
+    """Undelivered data envelopes of one process."""
+
+    def __init__(self, process: str, view: SystemView, system: Any) -> None:
+        self.process = process
+        self._view = view
+        self._sys = system  # OptimisticSystem (untyped: it imports us)
+        self._m = system.runtime_metrics
+        self.envelopes: List[DataEnvelope] = []
+        #: msg_ids already accepted — duplicate suppression, kept only when
+        #: the network can duplicate (a resilience configuration)
+        self._seen: Optional[Set[int]] = (
+            set() if system.config.resilience is not None else None)
+
+    # -------------------------------------------------------------- arrival
+
+    def accept(self, envelope: DataEnvelope) -> bool:
+        """Pool an arriving envelope; False for a duplicate or an orphan."""
+        if self._seen is not None:
+            if envelope.msg_id in self._seen:
+                self._m.data_dups.inc()
+                return False
+            self._seen.add(envelope.msg_id)
+        if self.is_orphan(envelope):
+            self._note_orphan(envelope)
+            return False
+        self.envelopes.append(envelope)
+        return True
+
+    def is_orphan(self, envelope: DataEnvelope) -> bool:
+        """The orphan test: some guard member is known aborted."""
+        return self._view.any_aborted(envelope.guard) is not None
+
+    def _note_orphan(self, envelope: DataEnvelope) -> None:
+        self._m.orphans_discarded.inc()
+        system = self._sys
+        system.log_protocol_event(self.process, "orphan_discard", {
+            "msg_id": envelope.msg_id, "src": envelope.src})
+        # msg_id is a process-global counter (not per-run), so it stays out
+        # of the span attrs to keep traces byte-deterministic.
+        if system.tracer.enabled:
+            aborted = self._view.any_aborted(envelope.guard)
+            extra = {"aborted": aborted.key()} if aborted is not None else {}
+            system.tracer.event(ob.ORPHAN, self.process, system.backend.now,
+                                src=envelope.src,
+                                guard=sorted(envelope.guard_keys()), **extra)
+
+    def requeue(self, slots: List[Slot]) -> None:
+        """Take back what discarded journal ``slots`` had consumed.
+
+        The envelopes go to the front in msg_id order so the re-execution
+        can receive them again; those orphaned meanwhile are filtered at
+        the next dispatch pass.
+        """
+        requeued = [
+            s.envelope for s in slots
+            if s.kind == RESULT and s.envelope is not None
+        ]
+        if requeued:
+            requeued.sort(key=lambda e: e.msg_id)
+            self.envelopes[:0] = requeued
+
+    # ------------------------------------------------------------- matching
+
+    def taker(self, envelope: DataEnvelope,
+              threads: Iterable[OptimisticThread]
+              ) -> Optional[OptimisticThread]:
+        """The thread of ``threads`` (in tid order) that takes ``envelope``.
+
+        A reply goes to the thread blocked on that call; a request to a
+        thread blocked in a matching ``Receive``, chosen by the delivery
+        heuristic, where a thread in pessimistic fallback (§3.3) takes only
+        fully committed requests.  That filter deliberately does NOT apply
+        to replies.  A
+        reply is a forced move — the thread must consume exactly this
+        message — so withholding it until its guards commit can deadlock:
+        the reply may be guarded by this very process's downstream guesses,
+        whose commits transitively wait on this thread's progress (found by
+        randomized search).
+        """
+        payload = envelope.payload
+        if isinstance(payload, CallResponse):
+            for t in threads:
+                if (t.status is ThreadStatus.BLOCKED_CALL
+                        and t.waiting_call_id == payload.call_id):
+                    return t
+            return None
+        if not isinstance(payload, (CallRequest, OneWay)):
+            raise ProtocolError(
+                f"{self.process}: bad request payload {payload!r}")
+        eligible = [
+            t for t in threads
+            if t.status is ThreadStatus.BLOCKED_RECV
+            and t.waiting_receive is not None
+            and (t.waiting_receive.ops is None
+                 or payload.op in t.waiting_receive.ops)
+            and not (t.pessimistic and self._uncommitted(envelope))
+        ]
+        if not eligible:
+            return None
+        heuristic = self._sys.config.delivery_heuristic
+        if heuristic is DeliveryHeuristic.MIN_NEW_DEPS:
+            return min(
+                eligible,
+                key=lambda t: (len(t.guard.new_guards(envelope.guard)), t.tid),
+            )
+        return max(eligible, key=lambda t: t.tid)
+
+    def _uncommitted(self, envelope: DataEnvelope) -> Set[GuessId]:
+        return {g for g in envelope.guard if not self._view.is_committed(g)}
+
+    def next_delivery(self, threads: Iterable[OptimisticThread]
+                      ) -> Optional[Tuple[DataEnvelope, OptimisticThread]]:
+        """The first pooled envelope some thread takes, with that thread.
+
+        Orphans met on the way are discarded; nothing is delivered yet.
+        """
+        for envelope in list(self.envelopes):
+            if self.is_orphan(envelope):
+                self.envelopes.remove(envelope)
+                self._note_orphan(envelope)
+                continue
+            target = self.taker(envelope, threads)
+            if target is not None:
+                return envelope, target
+        return None
+
+    def deliver(self, envelope: DataEnvelope,
+                target: OptimisticThread) -> None:
+        """Hand ``envelope`` to ``target``, which resumes with it."""
+        self.envelopes.remove(envelope)
+        payload = envelope.payload
+        if isinstance(payload, CallResponse):
+            target.deliver_reply(envelope, payload.value, payload.op)
+        elif isinstance(payload, CallRequest):
+            target.deliver_request(envelope, Request(
+                src=envelope.src, op=payload.op, args=payload.args,
+                call_id=payload.call_id, reply_to=payload.reply_to))
+        else:
+            target.deliver_request(envelope, Request(
+                src=envelope.src, op=payload.op, args=payload.args))
+
+    def acquire_guards(self, thread: OptimisticThread,
+                       envelope: DataEnvelope, before_position: int) -> None:
+        """Extend the consuming thread's guard with the envelope's new guards."""
+        new = []
+        for g in sorted(envelope.guard):
+            status = self._view.status(g)
+            if status is GuessStatus.COMMITTED:
+                continue
+            if status is GuessStatus.ABORTED:
+                raise ProtocolError(
+                    f"{self.process}: consuming orphan envelope "
+                    f"{envelope.msg_id} (guard member {g.key()} aborted)"
+                )
+            if g not in thread.guard:
+                new.append(g)
+        if new:
+            thread.interval += 1
+            for g in new:
+                thread.guard.add(g)
+                thread.rollbacks[g] = before_position
+            self._m.guards_acquired.inc(len(new))

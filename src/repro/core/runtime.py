@@ -1,18 +1,24 @@
-"""Per-process optimistic runtime: the protocol of §3.2 and §4.2.
+"""Per-process optimistic runtime: the fork/join state machine of §4.2.
 
-One :class:`ProcessRuntime` owns all threads of one process, its message
-pool, its view of every peer's commit history, its commit dependency graph,
-and its buffered external output.  It implements:
+One :class:`ProcessRuntime` owns all threads of one process, its guess
+records, its view of every peer's commit history and its commit dependency
+graph.  It implements:
 
 * fork (§4.2.1) with predictor, timeout, and the right-branching structure;
-* guard tagging on sends (§4.2.2) and guard acquisition + orphan testing on
-  arrival (§4.2.3), with the fewest-new-dependencies delivery heuristic;
+* guard tagging on sends (§4.2.2);
 * join evaluation (§4.2.5): value fault, self-cycle time fault, immediate
   commit, or the PRECEDENCE protocol (§4.2.6);
 * COMMIT/ABORT processing (§4.2.7/§4.2.8) including rollback of dependent
   threads to their ``Rollbacks[g]`` positions;
-* incarnation numbering on local aborts (§4.1.2) and output commit for
-  external messages (§3.2).
+* incarnation numbering on local aborts (§4.1.2);
+* the two fixpoint drivers, ``dispatch`` and ``resolve_sweep``.
+
+The other mechanisms each have one owner that the runtime holds and calls:
+output commit (§3.2) in :mod:`~repro.core.output`, the message pool
+(§4.2.3) in :mod:`~repro.core.pool`, control notification (§4.2.5) in
+:mod:`~repro.core.control`, orphan re-detection and crash/restart in
+:mod:`~repro.core.recovery`, the ``static_effects`` shortcuts in
+:mod:`~repro.core.certificates`.
 """
 
 from __future__ import annotations
@@ -22,11 +28,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProgramError, ProtocolError
 from repro.core.cdg import CommitDependencyGraph
-from repro.core.config import ControlPlane, DeliveryHeuristic, OptimisticConfig
+from repro.core.certificates import EffectCertificates
+from repro.core.config import OptimisticConfig
+from repro.core.control import ControlRelay
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
-from repro.core.history import GuessStatus, SystemView
-from repro.core.journal import FORK, JOIN, RESULT, SEND, Slot
+from repro.core.history import SystemView
+from repro.core.journal import FORK, JOIN, SEND, Slot
 from repro.core.messages import (
     AbortMsg,
     CommitMsg,
@@ -34,10 +42,13 @@ from repro.core.messages import (
     PrecedenceMsg,
     QueryMsg,
 )
+from repro.core.output import OutputCommit
+from repro.core.pool import MessagePool
+from repro.core.recovery import Recovery
 from repro.core.snapshot import Snapshotter, StateSnapshot
 from repro.core.thread import OptimisticThread, ThreadStatus
 from repro.obs import spans as ob
-from repro.csp.effects import Call, Emit, Reply, Send
+from repro.csp.effects import Call, Reply, Send
 from repro.csp.payloads import CallRequest, CallResponse, OneWay, Request
 from repro.csp.plan import ForkSpec, ParallelizationPlan
 from repro.csp.process import Program
@@ -45,10 +56,6 @@ from repro.csp.process import Program
 #: Left-thread timeout ("implementation-defined duration", §3.2) of a fork
 #: whose ``ForkSpec.timeout`` is None.
 DEFAULT_FORK_TIMEOUT = 1000.0
-#: Period (virtual time) of the orphan re-detection scan under resilience.
-ORPHAN_SCAN_INTERVAL = 120.0
-#: Consecutive no-progress scan rounds before the scanner disarms.
-ORPHAN_SCAN_MAX_IDLE = 3
 
 
 @dataclass
@@ -85,24 +92,18 @@ class GuessRecord:
     #: per-key repair deltas computed at the latest join (certified keys)
     repair: Optional[Dict[str, Any]] = None
 
-
-@dataclass
-class Emission:
-    """One buffered external output awaiting commit (§3.2)."""
-
-    emission_id: int
-    tid: int
-    sink: str
-    payload: Any
-    size: int
-    porder: Tuple[int, int]
-    pending: Set[GuessId]
-    released: bool = False
-    dropped: bool = False
+    def cancel_timer(self) -> None:
+        """Stop the §3.2 divergence timer, if one was ever armed."""
+        if self.timer is not None:
+            self.timer.cancel()
 
 
 class ProcessRuntime:
-    """All optimistic-protocol state of one process."""
+    """The fork/join/abort/rollback state machine of one process."""
+
+    #: re-entrancy latches of the two fixpoint drivers: set on the
+    #: instance while :meth:`dispatch` / :meth:`resolve_sweep` run
+    _in_dispatch = _dispatch_again = _in_sweep = _sweep_again = False
 
     def __init__(
         self,
@@ -120,31 +121,13 @@ class ProcessRuntime:
         #: the execution substrate, spoken to only through the backend
         #: facade (scheduling, timers, segment-task submission)
         self.backend = system.backend
-        self.stats = system.stats
-        self.recorder = system.recorder
         self.tracer = system.tracer
         #: typed handles for the opt.* instrument set (same Stats keys)
         self.m = system.runtime_metrics
         #: opt-in per-segment access recording (None = off, zero cost)
         self.access = system.access
         #: state capture/restore layer (COW snapshots)
-        self.snap = Snapshotter(self.stats)
-        #: static effects index (ROADMAP item 1), built only on opt-in —
-        #: default runs never import the analyzer and pay nothing
-        self.effects = None
-        #: committed actuals of deferred exports, overlaid by final_state
-        self._deferred_actuals: Dict[str, Any] = {}
-        #: accumulated bump-repair deltas, applied by final_state
-        self._repair_deltas: Dict[str, Any] = {}
-        if config.static_effects:
-            try:
-                from repro.analyze.effects import infer_program_effects
-
-                self.effects = infer_program_effects(program)
-            except Exception as exc:
-                # analysis failure = feature off, but never silently
-                self.log_event("static_effects_unavailable", error=repr(exc))
-
+        self.snap = Snapshotter(system.stats)
         self.view = SystemView()
         self.cdg = CommitDependencyGraph(
             tracer=self.tracer, process=self.name,
@@ -156,33 +139,21 @@ class ProcessRuntime:
         self.incarnation = 0
         self.next_fork_index = 0
         self.records: Dict[GuessId, GuessRecord] = {}
-        self.pool: List[DataEnvelope] = []
-        self.emissions: List[Emission] = []
-        self._next_emission_id = 0
         self.site_attempts: Dict[str, int] = {}
-        #: §4.2.5 targeted mode: who we made dependent on each guess by
-        #: sending them a message tagged with it.
-        self.dependents: Dict[GuessId, Set[str]] = {}
-        self._control_relayed: Set[Tuple[str, GuessId]] = set()
         self.tentative_completion: Optional[float] = None
         self.committed_completion: Optional[float] = None
-        self._in_sweep = False
-        self._sweep_again = False
-        self._in_dispatch = False
-        self._dispatch_again = False
-        #: Idempotence bookkeeping for re-delivered control messages: a
-        #: COMMIT/ABORT is applied once per (kind, GuessId) — the GuessId
-        #: carries the incarnation, so renumbered retries are distinct —
-        #: and a PRECEDENCE once per (guess, guard snapshot).
-        self._control_seen: Set[Tuple] = set()
-        #: Data envelopes already accepted (duplicate suppression when the
-        #: network can duplicate; keyed on the envelope's unique msg_id).
-        self._data_seen: Set[int] = set()
-        #: True while the simulated process is down (crash fault).
-        self.crashed = False
-        self._scan_timer: Any = None
-        self._scan_last: frozenset = frozenset()
-        self._scan_idle = 0
+        #: static-effects shortcuts (built only on opt-in: default runs
+        #: never import the analyzer and pay nothing)
+        self.certs = EffectCertificates(program, system)
+        #: buffered external output (§3.2)
+        self.output = OutputCommit(self.name, self.view, system)
+        #: undelivered data envelopes (§4.2.3)
+        self.inbox = MessagePool(self.name, self.view, system)
+        #: dependents, fan-out and idempotence of control messages (§4.2.5)
+        self.control = ControlRelay(self.name, system)
+        #: orphan scan, QUERY answering, crash/restart
+        self.recovery = Recovery(self.name, self.view, system, self.inbox,
+                                 self)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -227,19 +198,6 @@ class ProcessRuntime:
         """Record one protocol event for this process."""
         self.system.log_protocol_event(self.name, kind, detail)
 
-    def on_exec_failure(self, failure) -> None:
-        """A pool task carrying this process's segment labor failed.
-
-        Labor is effect-free by construction, so the substrate already
-        recovered (retry, quarantine, or fallback) and the segment's
-        virtual completion stands — this records the abort-and-fallback
-        in the process's protocol events and metrics, never a crash.
-        """
-        self.m.exec_failures.inc()
-        self.log_event("exec_failure", label=failure.label,
-                       failure=failure.kind, attempts=failure.attempts,
-                       quarantined=failure.quarantined)
-
     # ----------------------------------------------------------------- fork
 
     def maybe_fork(self, thread: OptimisticThread, seg_idx: int) -> bool:
@@ -278,20 +236,7 @@ class ProcessRuntime:
                 f"predictor for segment {seg.name!r} guesses non-exported "
                 f"keys {missing}; exports are {seg.exports}"
             )
-        deferred: Tuple[str, ...] = ()
-        certified: frozenset = frozenset()
-        if self.effects is not None and guessed:
-            deferrable = self.effects.deferrable_exports(seg_idx)
-            if deferrable:
-                deferred = tuple(k for k in guessed if k in deferrable)
-                for k in deferred:
-                    del guessed[k]
-                self.m.guesses_deferred.inc(len(deferred))
-                self.log_event("guess_deferred", site=seg.name,
-                               keys=sorted(deferred))
-                if not guessed:
-                    self.m.guess_free_forks.inc()
-            certified = self.effects.bump_certified(seg_idx) & guessed.keys()
+        deferred, certified = self.certs.trim(seg_idx, seg.name, guessed)
         # One capture of the forking thread's state backs everything the
         # fork needs: the right thread's birth state (plus the guessed
         # overlay), its replay base, and the strict_exports reference.
@@ -405,11 +350,6 @@ class ProcessRuntime:
 
     # ------------------------------------------------------------- sending
 
-    def _guard_tag(self, thread: OptimisticThread) -> frozenset:
-        if self.config.compress_guards:
-            return thread.guard.compressed()
-        return thread.guard.frozen()
-
     def send_call(self, thread: OptimisticThread, effect: Call, call_id) -> None:
         """Send a call request tagged with the thread's guard."""
         payload = CallRequest(
@@ -435,13 +375,12 @@ class ProcessRuntime:
 
     def _send_data(self, thread: OptimisticThread, dst: str, payload: Any,
                    trace_data: Tuple, size: int) -> None:
-        envelope = DataEnvelope(
-            src=self.name, dst=dst, payload=payload,
-            guard=self._guard_tag(thread), size=size,
-        )
-        for g in envelope.guard:
-            self.dependents.setdefault(g, set()).add(dst)
-        self.recorder.record_send(
+        guard = (thread.guard.compressed() if self.config.compress_guards
+                 else thread.guard.frozen())
+        envelope = DataEnvelope(src=self.name, dst=dst, payload=payload,
+                                guard=guard, size=size)
+        self.control.note_tagged(envelope.guard, dst)
+        self.system.recorder.record_send(
             self.name, dst, trace_data, self.backend.now,
             guards=envelope.guard_keys(), porder=thread.porder(),
         )
@@ -461,7 +400,7 @@ class ProcessRuntime:
     def record_recv(self, thread: OptimisticThread, src: str,
                     trace_data: Tuple, porder: Tuple[int, int]) -> None:
         """Record a consumption in the trace, tagged with the guard."""
-        self.recorder.record_recv(
+        self.system.recorder.record_recv(
             src, self.name, trace_data, self.backend.now,
             guards=thread.guard.keys(), porder=porder,
         )
@@ -476,100 +415,11 @@ class ProcessRuntime:
             self.access.note_recv(thread._access_rec, src, self.name,
                                   trace_data[1])
 
-    # ------------------------------------------------------------ emissions
-
-    def emit(self, thread: OptimisticThread, effect: Emit,
-             porder: Tuple[int, int]) -> int:
-        """External output: release now or buffer until commit (§3.2)."""
-        if effect.sink not in self.system.sinks:
-            raise ProgramError(f"{self.name}: Emit to unknown sink {effect.sink!r}")
-        self._next_emission_id += 1
-        emission = Emission(
-            emission_id=self._next_emission_id,
-            tid=thread.tid,
-            sink=effect.sink,
-            payload=effect.payload,
-            size=effect.size,
-            porder=porder,
-            pending={
-                g for g in thread.guard
-                if not self.view.is_committed(g)
-            },
-        )
-        self.recorder.record_external(
-            self.name, effect.sink, effect.payload, self.backend.now,
-            guards=thread.guard.keys(), porder=porder,
-        )
-        if self.tracer.enabled:
-            self.tracer.event(
-                ob.EMIT, self.name, self.backend.now,
-                name=effect.sink, tid=thread.tid,
-                buffered=bool(emission.pending),
-            )
-        if self.access is not None:
-            self.access.note_emit(thread._access_rec, effect.sink)
-        if emission.pending:
-            self.emissions.append(emission)
-            self.m.emissions_buffered.inc()
-        else:
-            self._release_emission(emission)
-        return emission.emission_id
-
-    def _release_emission(self, emission: Emission) -> None:
-        emission.released = True
-        self.system.network.send(
-            self.name, emission.sink, emission.payload, size=emission.size
-        )
-        self.m.emissions_released.inc()
-
-    def _drop_emission_by_id(self, emission_id: int) -> None:
-        for em in self.emissions:
-            if em.emission_id == emission_id:
-                if em.released:
-                    raise ProtocolError(
-                        f"{self.name}: rollback reached a released external "
-                        f"emission {emission_id} — output commit violated"
-                    )
-                em.dropped = True
-        self.emissions = [em for em in self.emissions if not em.dropped]
-
-    # -------------------------------------------------------- guard handling
-
-    def acquire_guards(self, thread: OptimisticThread, envelope: DataEnvelope,
-                       before_position: int) -> None:
-        """§4.2.3: extend the thread's guard with the message's new guards."""
-        new = []
-        for g in sorted(envelope.guard):
-            status = self.view.status(g)
-            if status is GuessStatus.COMMITTED:
-                continue
-            if status is GuessStatus.ABORTED:
-                raise ProtocolError(
-                    f"{self.name}: consuming orphan envelope {envelope.msg_id} "
-                    f"(guard member {g.key()} aborted)"
-                )
-            if g not in thread.guard:
-                new.append(g)
-        if new:
-            thread.interval += 1
-            for g in new:
-                thread.guard.add(g)
-                thread.rollbacks[g] = before_position
-            self.m.guards_acquired.inc(len(new))
-
-    def _is_orphan(self, envelope: DataEnvelope) -> bool:
-        return self.view.any_aborted(envelope.guard) is not None
-
-    def _pending_guards_of(self, envelope: DataEnvelope) -> Set[GuessId]:
-        return {
-            g for g in envelope.guard if not self.view.is_committed(g)
-        }
-
     # ------------------------------------------------------ message arrival
 
     def on_network(self, src: str, payload: Any) -> None:
-        """Network delivery entry point: control handling + orphan test (§4.2.3)."""
-        if self.crashed:
+        """Network delivery entry point: route by message type."""
+        if self.recovery.crashed:
             # A down process loses in-flight deliveries; the reliable
             # transport (when on) withholds the ack so the sender retries.
             self.m.messages_lost_down.inc()
@@ -579,40 +429,15 @@ class ProcessRuntime:
         elif isinstance(payload, AbortMsg):
             self._handle_abort(payload, src)
         elif isinstance(payload, PrecedenceMsg):
-            self._handle_precedence(payload)
+            self._handle_precedence(payload, src)
         elif isinstance(payload, QueryMsg):
-            self._handle_query(payload, src)
+            self.recovery.answer_query(payload, src)
         elif isinstance(payload, DataEnvelope):
-            if self.config.resilience is not None:
-                if payload.msg_id in self._data_seen:
-                    self.m.data_dups.inc()
-                    return
-                self._data_seen.add(payload.msg_id)
-            if self._is_orphan(payload):
-                self._note_orphan(payload)
-                return
-            self.pool.append(payload)
-            self.dispatch()
-            self._maybe_arm_orphan_scan()
+            if self.inbox.accept(payload):
+                self.dispatch()
+                self.recovery.arm_scan()
         else:
             raise ProtocolError(f"{self.name}: bad payload {payload!r}")
-
-    def _note_orphan(self, envelope: DataEnvelope) -> None:
-        self.m.orphans_discarded.inc()
-        self.log_event("orphan_discard", msg_id=envelope.msg_id,
-                       src=envelope.src)
-        # msg_id is a process-global counter (not per-run), so it stays out
-        # of the span attrs to keep traces byte-deterministic.
-        if self.tracer.enabled:
-            aborted = self.view.any_aborted(envelope.guard)
-            extra = {"aborted": aborted.key()} if aborted is not None else {}
-            self.tracer.event(ob.ORPHAN, self.name, self.backend.now,
-                              src=envelope.src,
-                              guard=sorted(envelope.guard_keys()), **extra)
-
-    def on_thread_blocked(self, thread: OptimisticThread) -> None:
-        """A thread entered a blocked state: try to feed it from the pool."""
-        self.dispatch()
 
     # ------------------------------------------------------------- dispatch
 
@@ -626,101 +451,40 @@ class ProcessRuntime:
             progress = True
             while progress or self._dispatch_again:
                 self._dispatch_again = False
-                progress = self._dispatch_once()
+                progress = self._deliver_next()
         finally:
             self._in_dispatch = False
 
-    def _dispatch_once(self) -> bool:
-        for envelope in list(self.pool):
-            if envelope not in self.pool:
-                continue
-            if self._is_orphan(envelope):
-                self.pool.remove(envelope)
-                self._note_orphan(envelope)
-                continue
-            if isinstance(envelope.payload, CallResponse):
-                if self._dispatch_reply(envelope):
-                    return True
-            else:
-                if self._dispatch_request(envelope):
-                    return True
-        return False
-
-    def _dispatch_reply(self, envelope: DataEnvelope) -> bool:
-        payload: CallResponse = envelope.payload
-        target = None
-        for t in self._threads_in_order():
-            if (
-                t.status is ThreadStatus.BLOCKED_CALL
-                and t.waiting_call_id == payload.call_id
-            ):
-                target = t
-                break
-        if target is None:
+    def _deliver_next(self) -> bool:
+        """Deliver the pool's next deliverable envelope; False when none."""
+        match = self.inbox.next_delivery(self.threads.values())
+        if match is None:
             return False
+        envelope, target = match
         # §4.2.3 early-abort: a reply that depends on the waiting thread's
         # own (future) guess proves a causal cycle — abort it right away.
-        if self.config.early_reply_abort and target.own_guess is not None:
-            record = self.records.get(target.own_guess)
-            if (
-                record is not None
-                and record.status == "pending"
-                and target.own_guess in envelope.guard
-            ):
+        own = target.own_guess
+        if (
+            self.config.early_reply_abort
+            and own in envelope.guard
+            and isinstance(envelope.payload, CallResponse)
+        ):
+            record = self._own_pending(target)
+            if record is not None:
                 self.m.aborts_time_fault.inc()
-                self.log_event("early_reply_time_fault",
-                               guess=target.own_guess.key())
+                self.log_event("early_reply_time_fault", guess=own.key())
                 self.abort_own([record], reason="time_fault",
-                               detail={"cycle": [target.own_guess.key()]})
+                               detail={"cycle": [own.key()]})
                 return True  # envelope is now an orphan; next pass drops it
-        # NOTE: the §3.3 pessimistic filter deliberately does NOT apply to
-        # call replies.  A reply is a forced move — the thread must consume
-        # exactly this message — so withholding it until its guards commit
-        # can deadlock: the reply may be guarded by this very process's
-        # downstream guesses, whose commits transitively wait on this
-        # thread's progress (found by randomized search).
-        self.pool.remove(envelope)
-        target.deliver_reply(envelope, payload.value, payload.op)
+        self.inbox.deliver(envelope, target)
         return True
-
-    def _dispatch_request(self, envelope: DataEnvelope) -> bool:
-        payload = envelope.payload
-        if isinstance(payload, CallRequest):
-            req = Request(src=envelope.src, op=payload.op, args=payload.args,
-                          call_id=payload.call_id, reply_to=payload.reply_to)
-        elif isinstance(payload, OneWay):
-            req = Request(src=envelope.src, op=payload.op, args=payload.args)
-        else:
-            raise ProtocolError(f"{self.name}: bad request payload {payload!r}")
-        eligible = [
-            t for t in self._threads_in_order()
-            if t.status is ThreadStatus.BLOCKED_RECV
-            and t.waiting_receive is not None
-            and (t.waiting_receive.ops is None or req.op in t.waiting_receive.ops)
-            and not (t.pessimistic and self._pending_guards_of(envelope))
-        ]
-        if not eligible:
-            return False
-        if self.config.delivery_heuristic is DeliveryHeuristic.MIN_NEW_DEPS:
-            target = min(
-                eligible,
-                key=lambda t: (len(t.guard.new_guards(envelope.guard)), t.tid),
-            )
-        else:
-            target = max(eligible, key=lambda t: t.tid)
-        self.pool.remove(envelope)
-        target.deliver_request(envelope, req)
-        return True
-
-    def _threads_in_order(self) -> List[OptimisticThread]:
-        return [self.threads[tid] for tid in sorted(self.threads)]
 
     # ------------------------------------------------------------ join logic
 
     def on_thread_finished(self, thread: OptimisticThread) -> None:
         """A thread completed its segment range: join or completion handling."""
         if thread.own_guess is not None:
-            self.evaluate_join(self.records[thread.own_guess])
+            self.evaluate_join(self.records[thread.own_guess], thread)
         else:
             if thread.seg_end >= len(self.program.segments):
                 self.tentative_completion = self.backend.now
@@ -732,13 +496,10 @@ class ProcessRuntime:
                                       tid=thread.tid)
             self._check_completion()
 
-    def evaluate_join(self, record: GuessRecord) -> None:
-        """§4.2.5: the left thread of ``record`` has (re)terminated."""
-        left = self.threads[record.left_tid]
-        if not left.finished or left.status is not ThreadStatus.TERMINATED:
-            return
-        if record.timer is not None:
-            record.timer.cancel()
+    def evaluate_join(self, record: GuessRecord,
+                      left: OptimisticThread) -> None:
+        """§4.2.5: ``left``, the left thread of ``record``, has (re)terminated."""
+        record.cancel_timer()
         if record.status == "aborted":
             self._spawn_continuation(record)
             return
@@ -752,26 +513,10 @@ class ProcessRuntime:
         actual = {k: left.state[k] for k in seg.exports if k in left.state}
         self._strict_exports_check(record, left, seg)
 
-        # Commutativity certificates (static_effects): a numeric mismatch
-        # on a bump-certified key is repairable — every downstream use is
-        # an additive self-update, so the error is a constant shift fixed
-        # at commit.  Certified keys verify here without value equality;
-        # non-numeric values fall back to the ordinary verifier.
-        verify_guessed = record.guessed
-        repairs: Dict[str, Any] = {}
-        if record.certified_keys:
-            verify_guessed = dict(record.guessed)
-            for k in record.certified_keys:
-                if k not in verify_guessed or k not in actual:
-                    continue
-                g, a = verify_guessed[k], actual[k]
-                if (isinstance(g, (int, float)) and not isinstance(g, bool)
-                        and isinstance(a, (int, float))
-                        and not isinstance(a, bool)):
-                    if a != g:
-                        repairs[k] = a - g
-                    del verify_guessed[k]
-        if not record.spec.verifier(verify_guessed, actual):
+        repairs = self.certs.verify(record.guess, record.spec.verifier,
+                                    record.certified_keys, record.guessed,
+                                    actual)
+        if repairs is None:
             self.m.aborts_value_fault.inc()
             self.log_event("value_fault", guess=record.guess.key(),
                            guessed=record.guessed, actual=actual)
@@ -788,10 +533,6 @@ class ProcessRuntime:
             })
             return
         record.repair = repairs or None
-        if repairs:
-            self.m.commutative_repairs.inc(len(repairs))
-            self.log_event("commutative_repair", guess=record.guess.key(),
-                           keys=sorted(repairs))
         if record.guess in left.guard:
             # The left thread causally depends on its own fork: time fault —
             # a causal cycle of length one, through the guess itself.
@@ -810,13 +551,26 @@ class ProcessRuntime:
         if record.last_precedence != snapshot:
             record.last_precedence = snapshot
             self.cdg.add_precedence(record.guess, snapshot)
-            self._emit_control(
+            self.control.originate(
                 PrecedenceMsg(guess=record.guess, guard=snapshot)
             )
             self.m.precedence_sent.inc()
             self.log_event("precedence_sent", guess=record.guess.key(),
                            guard=sorted(g.key() for g in snapshot))
             self._check_own_cycles()
+
+    def _left_done(self, record: GuessRecord) -> Optional[OptimisticThread]:
+        """The record's left thread, if it has run S1 to the join point."""
+        left = self.threads.get(record.left_tid)
+        done = (left is not None and left.finished
+                and left.status is ThreadStatus.TERMINATED)
+        return left if done else None
+
+    def _own_pending(self, thread: OptimisticThread) -> Optional[GuessRecord]:
+        """The record of the guess ``thread`` is left thread of, if pending."""
+        record = self.records.get(thread.own_guess)
+        pending = record is not None and record.status == "pending"
+        return record if pending else None
 
     def _strict_exports_check(self, record: GuessRecord,
                               left: OptimisticThread, seg) -> None:
@@ -842,37 +596,17 @@ class ProcessRuntime:
     def commit_own(self, record: GuessRecord) -> None:
         """Commit one of our guesses and notify dependents (§4.2.7)."""
         record.status = "committed"
-        if record.timer is not None:
-            record.timer.cancel()
-        self._capture_certified_effects(record)
+        record.cancel_timer()
+        if record.deferred_keys or record.repair:
+            self.certs.bank(record.deferred_keys, record.repair,
+                            self.threads.get(record.left_tid))
         self.view.note_commit(record.guess)
         self.cdg.remove_node(record.guess)
-        self._emit_control(CommitMsg(guess=record.guess))
+        self.control.originate(CommitMsg(guess=record.guess))
         self.m.commits.inc()
         self._resolve_metrics(record, outcome="commit")
         self.log_event("commit", guess=record.guess.key())
         self.resolve_sweep()
-
-    def _capture_certified_effects(self, record: GuessRecord) -> None:
-        """Bank a committing record's deferred actuals and repair deltas.
-
-        Runs exactly once per record, at commit — the only irrevocable
-        point: a commit means every birth guard already resolved, so the
-        left thread's values can never be rolled back.  ``final_state``
-        overlays the banked values; patching live thread state instead
-        would be unsound (rollback restores snapshots predating the
-        patch).
-        """
-        if record.deferred_keys:
-            left = self.threads.get(record.left_tid)
-            for k in record.deferred_keys:
-                if left is not None and k in left.state:
-                    self._deferred_actuals[k] = left.state[k]
-        if record.repair:
-            for k, delta in record.repair.items():
-                self._repair_deltas[k] = (
-                    self._repair_deltas.get(k, 0) + delta
-                )
 
     def _resolve_metrics(self, record: GuessRecord, outcome: str,
                          reason: Optional[str] = None,
@@ -920,17 +654,15 @@ class ProcessRuntime:
             if record.status != "pending":
                 continue
             record.status = "aborted"
-            if record.timer is not None:
-                record.timer.cancel()
+            record.cancel_timer()
             to_abort.append(record)
             roots[record.guess] = cascade_root
             nested_root = cascade_root or record.guess.key()
             for t in self._destroy_subtree(record.right_tid,
                                            cause=record.guess.key()):
-                if t.own_guess is not None:
-                    nested = self.records.get(t.own_guess)
-                    if nested is not None and nested.status == "pending":
-                        stack.append((nested, nested_root))
+                nested = self._own_pending(t)
+                if nested is not None:
+                    stack.append((nested, nested_root))
         if not to_abort:
             return
 
@@ -943,11 +675,11 @@ class ProcessRuntime:
         )
         for record in to_abort:
             self.view.note_abort(record.guess)
-            self.recorder.mark_aborted(record.guess.key())
+            self.system.recorder.mark_aborted(record.guess.key())
             self.site_attempts[record.site] = (
                 self.site_attempts.get(record.site, 0) + 1
             )
-            self._emit_control(AbortMsg(guess=record.guess))
+            self.control.originate(AbortMsg(guess=record.guess))
             self.m.aborts.inc()
             fault_detail = detail if roots.get(record.guess) is None else None
             self._resolve_metrics(record, outcome="abort", reason=reason,
@@ -959,12 +691,7 @@ class ProcessRuntime:
             self.cdg.remove_node(record.guess)
         self.resolve_sweep()
         for record in to_abort:
-            left = self.threads.get(record.left_tid)
-            if (
-                left is not None
-                and left.status is ThreadStatus.TERMINATED
-                and left.finished
-            ):
+            if self._left_done(record) is not None:
                 self._spawn_continuation(record)
 
     def _destroy_subtree(self, tid: int,
@@ -979,17 +706,8 @@ class ProcessRuntime:
             return []
         destroyed = [thread]
         thread.destroy(cause=cause)
-        # Requeue messages the dead thread had consumed so the re-execution
-        # can receive them again (orphans are filtered at dispatch).
-        self._requeue_consumed(thread.journal.slots)
-        kept = []
-        for em in self.emissions:
-            if em.tid == tid and not em.released:
-                em.dropped = True
-                self.m.emissions_dropped.inc()
-            else:
-                kept.append(em)
-        self.emissions = kept
+        self.inbox.requeue(thread.journal.slots)
+        self.output.drop_thread(tid)
         for child in self.children.get(tid, []):
             destroyed.extend(self._destroy_subtree(child, cause=cause))
         self.m.threads_destroyed.inc()
@@ -1003,33 +721,18 @@ class ProcessRuntime:
         A destroyed left thread can never reach its join, so leaving its
         guess pending would stall every dependent forever.
         """
-        pending = []
-        for t in destroyed:
-            if t.own_guess is not None:
-                record = self.records.get(t.own_guess)
-                if record is not None and record.status == "pending":
-                    pending.append(record)
+        pending = [r for r in map(self._own_pending, destroyed)
+                   if r is not None]
         if pending:
             self.abort_own(pending, reason=reason, root=root)
 
-    def _requeue_consumed(self, slots: List[Slot]) -> None:
-        requeued = [
-            s.envelope for s in slots
-            if s.kind == RESULT and s.envelope is not None
-        ]
-        if requeued:
-            requeued.sort(key=lambda e: e.msg_id)
-            self.pool[:0] = requeued
+    def _continuation_alive(self, record: GuessRecord) -> bool:
+        cont = self.threads.get(record.continuation_tid)
+        return cont is not None and cont.alive
 
     def _spawn_continuation(self, record: GuessRecord) -> None:
-        if record.fork_undone:
-            return  # the former left thread re-executes the range itself
-        existing = (
-            self.threads.get(record.continuation_tid)
-            if record.continuation_tid is not None
-            else None
-        )
-        if existing is not None and existing.alive:
+        # fork undone: the former left thread re-executes the range itself
+        if record.fork_undone or self._continuation_alive(record):
             return
         left = self.threads[record.left_tid]
         base = self.snap.capture(left.state)
@@ -1058,84 +761,16 @@ class ProcessRuntime:
 
     # --------------------------------------------------- control processing
 
-    def _emit_control(self, msg: Any) -> None:
-        """Originate a control message (owner side)."""
-        if self.tracer.enabled:
-            self.tracer.event(
-                ob.CONTROL, self.name, self.backend.now,
-                name=type(msg).__name__, guess=msg.guess.key(),
-                direction="sent",
-            )
-        if isinstance(msg, PrecedenceMsg):
-            # PRECEDENCE must reach guess owners the sender may not have
-            # messaged, so it is broadcast in both modes.
-            self.system.broadcast_control(self.name, msg)
-            return
-        self._control_relayed.add((type(msg).__name__, msg.guess))
-        # The owner already applied its own resolution; a copy relayed back
-        # (targeted mode) or re-sent in answer to a QUERY must be a no-op.
-        self._control_seen.add((type(msg).__name__, msg.guess))
-        if self.config.control_plane is ControlPlane.BROADCAST:
-            self.system.broadcast_control(self.name, msg)
-            return
-        targets = self.dependents.get(msg.guess, set()) - {self.name}
-        for dst in sorted(targets):
-            self.system.send_control(self.name, dst, msg)
-
-    def _relay_control(self, src: str, msg: Any) -> None:
-        """§4.2.5 targeted mode: forward resolutions to *our* dependents.
-
-        A process that forwarded a guarded message created dependence the
-        guess's owner cannot know about; relaying along the recorded edges
-        makes the notification reach every transitive dependent.
-        """
-        if self.config.control_plane is not ControlPlane.TARGETED:
-            return
-        key = (type(msg).__name__, msg.guess)
-        if key in self._control_relayed:
-            return
-        self._control_relayed.add(key)
-        targets = self.dependents.get(msg.guess, set()) - {self.name, src}
-        for dst in sorted(targets):
-            self.system.send_control(self.name, dst, msg)
-
-    def _note_control_received(self, msg: Any) -> None:
-        if self.tracer.enabled:
-            self.tracer.event(
-                ob.CONTROL, self.name, self.backend.now,
-                name=type(msg).__name__, guess=msg.guess.key(),
-                direction="received",
-            )
-
-    def _control_duplicate(self, key: Tuple) -> bool:
-        """Record-and-test for re-delivered control messages.
-
-        Keys carry the full :class:`GuessId` (process, incarnation, index),
-        so resolutions of renumbered retries stay distinct; a true re-send
-        — network duplicate, retransmission, or a QUERY reply racing the
-        original — is suppressed after the relay step, keeping every
-        handler idempotent.
-        """
-        if key in self._control_seen:
-            self.m.control_dups.inc()
-            return True
-        self._control_seen.add(key)
-        return False
-
-    def _handle_commit(self, msg: CommitMsg, src: str = "") -> None:
-        self._note_control_received(msg)
-        self._relay_control(src, msg)
-        if self._control_duplicate(("CommitMsg", msg.guess)):
+    def _handle_commit(self, msg: CommitMsg, src: str) -> None:
+        if not self.control.admit(msg, src):
             return
         self.view.note_commit(msg.guess)
         self.cdg.remove_node(msg.guess)
         self.log_event("commit_received", guess=msg.guess.key())
         self.resolve_sweep()
 
-    def _handle_abort(self, msg: AbortMsg, src: str = "") -> None:
-        self._note_control_received(msg)
-        self._relay_control(src, msg)
-        if self._control_duplicate(("AbortMsg", msg.guess)):
+    def _handle_abort(self, msg: AbortMsg, src: str) -> None:
+        if not self.control.admit(msg, src):
             return
         self.view.note_abort(msg.guess)
         self.log_event("abort_received", guess=msg.guess.key())
@@ -1156,7 +791,7 @@ class ProcessRuntime:
         if self.config.eager_cdg_rollback:
             followers = self.cdg.descendants(guess)
         dead = {guess} | followers
-        for thread in self._threads_in_order():
+        for thread in list(self.threads.values()):
             if not thread.alive:
                 continue
             affected = thread.guard.members() & dead
@@ -1164,9 +799,8 @@ class ProcessRuntime:
                 position = min(thread.rollbacks[g] for g in affected)
                 self._perform_rollback(thread, position, cause=guess.key())
 
-    def _handle_precedence(self, msg: PrecedenceMsg) -> None:
-        self._note_control_received(msg)
-        if self._control_duplicate(("PrecedenceMsg", msg.guess, msg.guard)):
+    def _handle_precedence(self, msg: PrecedenceMsg, src: str) -> None:
+        if not self.control.admit(msg, src):
             return
         self.log_event("precedence_received", guess=msg.guess.key(),
                        guard=sorted(g.key() for g in msg.guard))
@@ -1191,150 +825,12 @@ class ProcessRuntime:
                 continue
             cycle = self.cdg.cycle_through(record.guess)
             if cycle is not None:
+                keys = [g.key() for g in cycle]
                 self.m.aborts_cycle.inc()
-                self.log_event(
-                    "cycle_abort", guess=record.guess.key(),
-                    cycle=[g.key() for g in cycle],
-                )
+                self.log_event("cycle_abort", guess=record.guess.key(),
+                               cycle=keys)
                 self.abort_own([record], reason="cycle",
-                               detail={"cycle": [g.key() for g in cycle]})
-
-    # --------------------------------------- orphan re-detection and crashes
-
-    def _handle_query(self, msg: QueryMsg, src: str) -> None:
-        """Answer a peer's fate probe for a guess we know about.
-
-        A lost COMMIT/ABORT degrades to delayed cleanup rather than a hang:
-        the dependent's periodic scan sends a QUERY and we re-send the
-        resolution (the receiver's idempotence layer makes the re-send
-        harmless even when the original eventually arrives too).  A
-        still-pending guess gets no answer — the scan asks again next round.
-        """
-        status = self.view.status(msg.guess)
-        if status is GuessStatus.COMMITTED:
-            reply: Any = CommitMsg(guess=msg.guess)
-        elif status is GuessStatus.ABORTED:
-            reply = AbortMsg(guess=msg.guess)
-        else:
-            return
-        self.m.query_replies.inc()
-        self.log_event("query_reply", guess=msg.guess.key(), to=src)
-        self.system.send_control(self.name, src, reply)
-
-    def _unresolved_foreign(self) -> frozenset:
-        """Foreign guesses this process depends on whose fate is unknown."""
-        out = set()
-        for thread in self._threads_in_order():
-            if not thread.alive:
-                continue
-            for g in thread.guard:
-                if g.process != self.name and not self.view.status(g).resolved:
-                    out.add(g)
-        for envelope in self.pool:
-            for g in envelope.guard:
-                if g.process != self.name and not self.view.status(g).resolved:
-                    out.add(g)
-        return frozenset(out)
-
-    def _scan_armed(self) -> bool:
-        t = self._scan_timer
-        return t is not None and not t.cancelled and not t.fired
-
-    def _maybe_arm_orphan_scan(self) -> None:
-        """Arm the periodic orphan scan while unresolved foreign doubt exists.
-
-        The timer exists only when needed: the scheduler runs until its
-        queue drains, so an unconditional periodic timer would keep every
-        run alive forever.
-        """
-        if self.config.resilience is None or self.crashed:
-            return
-        if self._scan_armed():
-            return
-        if not self._unresolved_foreign():
-            self._scan_last = frozenset()
-            self._scan_idle = 0
-            return
-        self._scan_timer = self.backend.timer(
-            ORPHAN_SCAN_INTERVAL, self._orphan_scan,
-            label=f"{self.name}.orphan_scan",
-        )
-
-    def _orphan_scan(self) -> None:
-        """One scan round: QUERY the owner of every unresolved dependency."""
-        if self.crashed:
-            return
-        unresolved = self._unresolved_foreign()
-        if not unresolved:
-            self._scan_last = frozenset()
-            self._scan_idle = 0
-            return
-        self.m.orphan_scans.inc()
-        if unresolved == self._scan_last:
-            self._scan_idle += 1
-        else:
-            self._scan_last = unresolved
-            self._scan_idle = 0
-        if self._scan_idle >= ORPHAN_SCAN_MAX_IDLE:
-            # The same doubt survived several answered rounds: the owners
-            # really are undecided (e.g. a deadlocked workload), not silent.
-            # Disarm so the run can reach quiescence; new arrivals re-arm.
-            self.log_event("orphan_scan_idle",
-                           unresolved=sorted(g.key() for g in unresolved))
-            return
-        for g in sorted(unresolved):
-            self.m.orphan_queries.inc()
-            self.system.send_control(self.name, g.process, QueryMsg(guess=g))
-        self._maybe_arm_orphan_scan()
-
-    def crash(self) -> None:
-        """Simulated process failure: freeze and lose uncommitted progress.
-
-        Every pending timer and scheduled resume owned by this process is
-        cancelled — a down process does nothing — and :meth:`on_network`
-        drops deliveries while down.  Committed facts survive (peer views,
-        journals, released output); :meth:`restart` rebuilds the rest.
-        """
-        if self.crashed:
-            return
-        self.crashed = True
-        self.m.crashes.inc()
-        self.log_event("crash")
-        for thread in self._threads_in_order():
-            thread._cancel_pending()
-        for record in self.records.values():
-            if record.timer is not None:
-                record.timer.cancel()
-        if self._scan_timer is not None:
-            self._scan_timer.cancel()
-
-    def restart(self) -> None:
-        """Recover after a crash: abort own pending guesses, replay threads.
-
-        Speculative state is volatile: every guess still in doubt at crash
-        time is aborted — its tagged messages orphan everywhere, and the
-        incarnation bump lets peers infer the abort even if the ABORT
-        message itself is lost (§4.1.5).  Each surviving thread is then
-        rebuilt by a *full-journal* replay: the journal is the stable log
-        and replay suppresses already-performed sends, so recovery repeats
-        nothing that was externally visible (the Optimistic Recovery
-        position on logged inputs).
-        """
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.m.restarts.inc()
-        self.log_event("restart")
-        pending = [r for r in self.records.values() if r.status == "pending"]
-        if pending:
-            self.abort_own(pending, reason="crash")
-        for thread in self._threads_in_order():
-            if not thread.alive or not thread.active:
-                continue
-            self.m.crash_replays.inc()
-            thread.rollback_to(len(thread.journal.slots), charge_retry=False)
-            thread.replay()
-        self.resolve_sweep()
+                               detail={"cycle": keys})
 
     # -------------------------------------------------------- resolve sweep
 
@@ -1359,7 +855,7 @@ class ProcessRuntime:
             self._in_sweep = False
         self.dispatch()
         self._check_completion()
-        self._maybe_arm_orphan_scan()
+        self.recovery.arm_scan()
 
     def _sweep_once(self) -> bool:
         changed = False
@@ -1371,11 +867,13 @@ class ProcessRuntime:
             if self.view.status(node).resolved:
                 self.cdg.remove_node(node)
         # 1. prune committed guesses; collect rollback targets.
-        for thread in self._threads_in_order():
+        for thread in list(self.threads.values()):
             if not thread.alive:
                 continue
             self._prune_thread_guards(thread)
-            affected = self._aborted_dependencies(thread)
+            # Guard members directly known aborted; the CDG-follower part of
+            # §4.2.8's Abortset was applied one-shot in _rollback_for_abort.
+            affected = {g for g in thread.guard if self.view.is_aborted(g)}
             if affected:
                 position = min(thread.rollbacks[g] for g in affected)
                 self._perform_rollback(thread, position,
@@ -1383,33 +881,19 @@ class ProcessRuntime:
                 changed = True
         # 2. re-evaluate joins of pending guesses whose left thread is done.
         for record in list(self.records.values()):
+            if record.status == "committed":
+                continue
+            left = self._left_done(record)
+            if left is None:
+                continue
             if record.status == "pending":
-                left = self.threads.get(record.left_tid)
-                if (
-                    left is not None
-                    and left.finished
-                    and left.status is ThreadStatus.TERMINATED
-                ):
-                    before = record.status
-                    self.evaluate_join(record)
-                    if record.status != before:
-                        changed = True
-            elif record.status == "aborted":
-                left = self.threads.get(record.left_tid)
-                if (
-                    left is not None
-                    and left.finished
-                    and left.status is ThreadStatus.TERMINATED
-                ):
-                    existing = (
-                        self.threads.get(record.continuation_tid)
-                        if record.continuation_tid is not None else None
-                    )
-                    if existing is None or not existing.alive:
-                        self._spawn_continuation(record)
-                        changed = True
+                self.evaluate_join(record, left)
+                changed |= record.status != "pending"
+            elif not self._continuation_alive(record):
+                self._spawn_continuation(record)
+                changed = True
         # 3. emissions.
-        changed |= self._sweep_emissions()
+        changed |= self.output.sweep()
         return changed
 
     def _prune_thread_guards(self, thread: OptimisticThread) -> None:
@@ -1417,14 +901,6 @@ class ProcessRuntime:
             if self.view.is_committed(g):
                 thread.guard.discard(g)
                 thread.rollbacks.pop(g, None)
-
-    def _aborted_dependencies(self, thread: OptimisticThread) -> Set[GuessId]:
-        """Guard members directly known aborted.
-
-        The CDG-follower part of §4.2.8's Abortset is applied one-shot in
-        :meth:`_rollback_for_abort`; the sweep only needs the direct rule.
-        """
-        return {g for g in thread.guard if self.view.is_aborted(g)}
 
     def _perform_rollback(self, thread: OptimisticThread, position: int,
                           cause: Optional[str] = None) -> None:
@@ -1436,7 +912,7 @@ class ProcessRuntime:
                               tid=thread.tid, position=position, **extra)
         thread.discard_cause = cause
         discarded = thread.rollback_to(position)
-        self._requeue_consumed(discarded)
+        self.inbox.requeue(discarded)
         for slot in discarded:
             if slot.kind == FORK:
                 child_tid, guess, prev_end = slot.data
@@ -1466,52 +942,20 @@ class ProcessRuntime:
                 if cont_tid in self.children.get(thread.tid, []):
                     self.children[thread.tid].remove(cont_tid)
             elif slot.kind == SEND and slot.signature[0] == "emit":
-                self._drop_emission_by_id(slot.data)
+                self.output.drop(slot.data)
         if thread.seg_end >= len(self.program.segments) and thread.own_guess is None:
             # The main line is running again: completion is no longer final.
             self.tentative_completion = None
         # A left thread rolled back past its join is re-executing S1: the
         # §3.2 divergence timeout must cover the re-execution too (the
         # original timer was cancelled when S1 first terminated).
-        if thread.own_guess is not None:
-            record = self.records.get(thread.own_guess)
-            if (
-                record is not None
-                and record.status == "pending"
-                and (record.timer is None or record.timer.cancelled
-                     or record.timer.fired)
-            ):
-                self._arm_fork_timeout(record, "retimeout")
+        record = self._own_pending(thread)
+        if record is not None and (
+            record.timer is None or record.timer.cancelled
+            or record.timer.fired
+        ):
+            self._arm_fork_timeout(record, "retimeout")
         thread.replay()
-
-    def _sweep_emissions(self) -> bool:
-        changed = False
-        still: List[Emission] = []
-        for em in self.emissions:
-            if em.released or em.dropped:
-                continue
-            aborted = {g for g in em.pending if self.view.is_aborted(g)}
-            if aborted:
-                em.dropped = True
-                self.m.emissions_dropped.inc()
-                changed = True
-                continue
-            em.pending = {
-                g for g in em.pending if not self.view.is_committed(g)
-            }
-            if not em.pending:
-                changed = True
-                still.append(em)  # release below, in porder
-            else:
-                still.append(em)
-        ready = sorted(
-            (em for em in still if not em.pending),
-            key=lambda em: em.porder,
-        )
-        for em in ready:
-            self._release_emission(em)
-        self.emissions = [em for em in still if em.pending]
-        return changed
 
     # ------------------------------------------------------------ completion
 
@@ -1532,7 +976,7 @@ class ProcessRuntime:
             return
         if any(r.status == "pending" for r in self.records.values()):
             return
-        if any(not em.released and not em.dropped for em in self.emissions):
+        if self.output.unsettled():
             return
         self.committed_completion = self.backend.now
         self.log_event("committed_complete")
@@ -1543,26 +987,14 @@ class ProcessRuntime:
     # ---------------------------------------------------------------- state
 
     def final_state(self) -> Optional[Dict[str, Any]]:
-        """State of the completed main-line thread, if any.
-
-        With static_effects on, deferred exports (never overlaid on the
-        continuation — it provably ignores them) are patched in from the
-        committed left threads, and bump-repair deltas shift the keys
-        whose wrong guesses were certified commutative.
-        """
-        for t in self._threads_in_order():
+        """State of the completed main-line thread, if any, with what the
+        effect certificates banked at commit overlaid."""
+        for t in self.threads.values():
             if (
                 t.finished
                 and t.status is ThreadStatus.TERMINATED
                 and t.own_guess is None
                 and t.seg_end >= len(self.program.segments)
             ):
-                if not self._deferred_actuals and not self._repair_deltas:
-                    return t.state
-                out = dict(t.state)
-                out.update(self._deferred_actuals)
-                for k, delta in self._repair_deltas.items():
-                    if k in out and isinstance(out[k], (int, float)):
-                        out[k] = out[k] + delta
-                return out
+                return self.certs.overlay(t.state)
         return None

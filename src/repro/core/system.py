@@ -76,9 +76,12 @@ class OptimisticResult:
         return len(self.events(kind, process))
 
     def summary(self):
-        """Speculation anatomy of this run (see repro.core.analysis)."""
+        """Speculation anatomy of this traced run (see repro.core.analysis)."""
         from repro.core.analysis import summarize
 
+        if not self.spans:
+            raise ValueError("summary() needs spans: run the system with "
+                             "tracer=RecordingTracer()")
         return summarize(self)
 
     def timeline(self, processes=None, protocol_kinds=None,
@@ -168,7 +171,7 @@ class OptimisticSystem:
 
     def _process_down(self, name: str) -> bool:
         rt = self.runtimes.get(name)
-        return rt is not None and rt.crashed
+        return rt is not None and rt.recovery.crashed
 
     # ------------------------------------------------------------- assembly
 
@@ -259,7 +262,7 @@ class OptimisticSystem:
         """
         runtime = self.runtimes.get(failure.process)
         if runtime is not None:
-            runtime.on_exec_failure(failure)
+            runtime.recovery.on_exec_failure(failure)
         else:
             self.log_protocol_event("exec", "exec_failure",
                                     failure.to_dict())
@@ -327,7 +330,7 @@ class OptimisticSystem:
 
     def _crash(self, name: str) -> None:
         """Take ``name`` down: freeze its runtime, drop its wire traffic."""
-        self.runtimes[name].crash()
+        self.runtimes[name].recovery.crash()
         if isinstance(self.network, FaultyNetwork):
             self.network.mark_down(name)
         if self.transport is not None:
@@ -337,7 +340,7 @@ class OptimisticSystem:
         """Bring ``name`` back: reopen its wire, then run crash recovery."""
         if isinstance(self.network, FaultyNetwork):
             self.network.mark_up(name)
-        self.runtimes[name].restart()
+        self.runtimes[name].recovery.restart()
 
     def run(self, until: Optional[float] = None) -> OptimisticResult:
         """Run to quiescence (or ``until``) and collect the results."""

@@ -319,14 +319,14 @@ class OptimisticThread:
             def unblock() -> None:
                 self._pending_event = None
                 self.status = status
-                self.runtime.on_thread_blocked(self)
+                self.runtime.dispatch()
 
             self._pending_event = self.runtime.backend.after(
                 debt, unblock, label=f"{self.runtime.name}.t{self.tid}.debt"
             )
         else:
             self.status = status
-            self.runtime.on_thread_blocked(self)
+            self.runtime.dispatch()
         return _BLOCKED
 
     # ------------------------------------------------------ effect handling
@@ -428,7 +428,8 @@ class OptimisticThread:
             )
         sig = ("call", envelope.src, op, self.seg_idx)
         self.waiting_call_id = None
-        self.runtime.acquire_guards(self, envelope, before_position=self._position())
+        self.runtime.inbox.acquire_guards(self, envelope,
+                                          before_position=self._position())
         self.journal.append(
             Slot(kind=RESULT, signature=sig, result=value, envelope=envelope,
                  porder=(self.seg_idx, self.step))
@@ -485,7 +486,8 @@ class OptimisticThread:
             )
         sig = ("receive", self.seg_idx)
         self.waiting_receive = None
-        self.runtime.acquire_guards(self, envelope, before_position=self._position())
+        self.runtime.inbox.acquire_guards(self, envelope,
+                                          before_position=self._position())
         self.journal.append(
             Slot(kind=RESULT, signature=sig, result=request, envelope=envelope,
                  porder=(self.seg_idx, self.step))
@@ -503,7 +505,8 @@ class OptimisticThread:
             self.journal.consume_replay_slot(SEND, sig)
             self.step += 1
             return None
-        emission_id = self.runtime.emit(self, effect, porder=(self.seg_idx, self.step))
+        emission_id = self.runtime.output.emit(
+            self, effect, porder=(self.seg_idx, self.step))
         self.step += 1
         self.journal.append(Slot(kind=SEND, signature=sig, data=emission_id))
         return None

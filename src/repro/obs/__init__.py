@@ -49,7 +49,7 @@ from .metrics import (DEFAULT_BUCKETS, WELL_KNOWN_COUNTERS, Counter, Gauge,
                       Histogram, MetricsRegistry, RuntimeMetrics)
 from .realtime import PoolReport, WorkerStats, pool_report, summarize_values
 from .spans import (ALL_KINDS, EVENT_KINDS, INTERVAL_KINDS, Span, as_spans,
-                    span_from_dict, spans_from_protocol_log)
+                    span_from_dict)
 from .tracer import NULL_TRACER, NullTracer, RecordingTracer, Tracer
 from .validate import (TraceValidationError, validate_chrome,
                        validate_jsonl, validate_spans)
@@ -57,7 +57,7 @@ from .validate import (TraceValidationError, validate_chrome,
 __all__ = [
     # spans & tracers
     "Span", "Tracer", "NullTracer", "RecordingTracer", "NULL_TRACER",
-    "as_spans", "span_from_dict", "spans_from_protocol_log",
+    "as_spans", "span_from_dict",
     "ALL_KINDS", "EVENT_KINDS", "INTERVAL_KINDS",
     # metrics
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "RuntimeMetrics",

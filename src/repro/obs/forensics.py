@@ -22,8 +22,7 @@ persisted JSONL trace can be analysed after the fact:
   health gate (``repro.bench.speculation_health``) re-checks per run.
 
 Everything consumes any *span source* accepted by
-:func:`repro.obs.spans.as_spans` (a result object, a span list, or a
-legacy protocol log).
+:func:`repro.obs.spans.as_spans` (a traced result object or a span list).
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 # --------------------------------------------------------------- span kinds
 
@@ -172,89 +172,18 @@ def span_from_dict(data: Dict[str, Any]) -> Span:
     )
 
 
-# ------------------------------------------------- protocol-log compatibility
-
-def spans_from_protocol_log(protocol_log: Iterable[dict]) -> List[Span]:
-    """Synthesize spans from a legacy ``protocol_log`` event list.
-
-    The optimistic runtime keeps its dict-based protocol log even when
-    tracing is off; this adapter lifts it into the span schema so every
-    analysis (:mod:`repro.core.analysis`) has a single input type.  Guess
-    lifecycles (``fork`` → first ``commit``/``abort``) become ``GUESS``
-    interval spans; ``rollback`` and ``continuation`` entries become the
-    corresponding events; every other entry becomes a generic instant
-    event keyed by its protocol kind.
-    """
-    spans: List[Span] = []
-    open_guesses: Dict[str, Span] = {}
-    sid = 0
-    for entry in protocol_log:
-        kind = entry["kind"]
-        time = entry["time"]
-        process = entry["process"]
-        if kind == "fork":
-            span = Span(
-                sid=sid, kind=GUESS, name=entry["guess"], process=process,
-                start=time,
-                attrs={"site": entry.get("site", "?")},
-            )
-            sid += 1
-            spans.append(span)
-            open_guesses[entry["guess"]] = span
-        elif kind in ("commit", "abort"):
-            span = open_guesses.pop(entry.get("guess", ""), None)
-            if span is not None:
-                span.end = time
-                span.attrs["outcome"] = kind
-                if kind == "abort" and entry.get("reason"):
-                    span.attrs["reason"] = entry["reason"]
-        elif kind == "rollback":
-            spans.append(Span(
-                sid=sid, kind=ROLLBACK, name="rollback", process=process,
-                start=time, end=time,
-                attrs={"tid": entry.get("tid"),
-                       "position": entry.get("position")},
-            ))
-            sid += 1
-        elif kind == "continuation":
-            spans.append(Span(
-                sid=sid, kind=CONTINUATION, name=entry.get("guess", ""),
-                process=process, start=time, end=time,
-                attrs={"tid": entry.get("tid")},
-            ))
-            sid += 1
-        else:
-            attrs = {k: v for k, v in entry.items()
-                     if k not in ("kind", "time", "process")}
-            spans.append(Span(
-                sid=sid, kind=kind, name=kind, process=process,
-                start=time, end=time, attrs=attrs,
-            ))
-            sid += 1
-    return spans
-
-
 def as_spans(source: Any) -> List[Span]:
-    """Coerce any supported trace source into a span list.
+    """Coerce a trace source into a span list.
 
-    Accepts a span list, a protocol-log dict list, a run-result object
-    (anything with ``spans`` and/or ``protocol_log`` attributes), or
-    ``None``.  Result objects prefer real tracer spans and fall back to
-    the protocol-log adapter, so analyses work whether or not tracing was
-    enabled for the run.
+    Accepts a span list, a run-result object (anything with a ``spans``
+    attribute) or ``None``.  An untraced run has no spans: trace it with
+    ``tracer=RecordingTracer()`` to analyse it.
     """
     if source is None:
         return []
-    if hasattr(source, "spans") or hasattr(source, "protocol_log"):
-        spans = getattr(source, "spans", None)
-        if spans:
-            return list(spans)
-        return spans_from_protocol_log(getattr(source, "protocol_log", []))
+    if hasattr(source, "spans"):
+        return list(source.spans or ())
     items = list(source)
-    if not items:
-        return []
-    if isinstance(items[0], Span):
-        return items
-    if isinstance(items[0], dict) and "kind" in items[0]:
-        return spans_from_protocol_log(items)
-    raise TypeError(f"cannot interpret trace source {source!r}")
+    if items and not isinstance(items[0], Span):
+        raise TypeError(f"cannot interpret trace source {source!r}")
+    return items

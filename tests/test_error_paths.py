@@ -108,16 +108,16 @@ class TestDoubleForkGuard:
 
 class TestReleasedEmissionRollbackGuard:
     def test_dropping_released_emission_is_protocol_error(self):
-        from repro.core.runtime import Emission
+        from repro.core.output import Emission
 
         system = OptimisticSystem()
         system.add_sink("display")
         rt = system.add_program(server_program("X", lambda s, r: None))
         em = Emission(emission_id=1, tid=0, sink="display", payload="x",
                       size=1, porder=(0, 0), pending=set(), released=True)
-        rt.emissions.append(em)
+        rt.output.emissions.append(em)
         with pytest.raises(ProtocolError):
-            rt._drop_emission_by_id(1)
+            rt.output.drop(1)
 
 
 class TestOrphanConsumeGuard:
@@ -135,4 +135,4 @@ class TestOrphanConsumeGuard:
                                 guard=frozenset({dead}))
         thread = rt.threads[0]
         with pytest.raises(ProtocolError):
-            rt.acquire_guards(thread, envelope, before_position=0)
+            rt.inbox.acquire_guards(thread, envelope, before_position=0)

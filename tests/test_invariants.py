@@ -83,3 +83,34 @@ def test_invariants_hold_across_workload_space(n_calls, n_servers, latency,
                                   latency=latency, service_time=0.5,
                                   p_fail=p_fail, seed=seed))
     validate_run(system)
+
+
+def test_i4_reports_a_pooled_envelope_a_blocked_thread_would_take():
+    """I4 is a real check: plant what dispatch would never leave behind."""
+    from repro.core.guess import GuessId
+    from repro.core.messages import DataEnvelope
+    from repro.csp.payloads import OneWay
+    from repro.errors import ProtocolError
+
+    system = run_system(ChainSpec(n_calls=3, n_servers=1, latency=2.0,
+                                  service_time=0.5))
+    validate_run(system)
+    server = system.runtimes["S0"]      # quiesced, blocked in its Receive
+    stray = DataEnvelope("client", "S0", OneWay("op", ()), frozenset())
+    server.inbox.envelopes.append(stray)
+    with pytest.raises(ProtocolError, match=r"I4: S0 pool retains envelope"):
+        validate_run(system)
+    # ...while an orphan nobody dispatched is fine
+    dead = GuessId.make("client", 7, 0)
+    server.view.note_abort(dead)
+    server.inbox.envelopes[:] = [
+        DataEnvelope("client", "S0", OneWay("op", ()), frozenset({dead}))]
+    validate_run(system)
+
+
+def test_i4_is_clean_on_every_chaos_schedule():
+    """Lossy links, duplicates, a crash: no schedule strands a message."""
+    from repro.bench import chaos
+
+    for seed in range(chaos.N_SCHEDULES):
+        assert chaos.run_schedule(seed)["invariant_problems"] == [], seed

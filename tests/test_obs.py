@@ -15,7 +15,6 @@ from repro.obs import (
     chrome_trace_json,
     prometheus_text,
     span_from_dict,
-    spans_from_protocol_log,
     spans_to_jsonl,
     validate_chrome,
     validate_jsonl,
@@ -78,24 +77,6 @@ def test_span_dict_roundtrip():
     assert span_from_dict(span.to_dict()) == span
 
 
-def test_protocol_log_adapter_builds_guess_spans():
-    log = [
-        {"kind": "fork", "time": 0.0, "process": "X", "guess": "X:i0.n0",
-         "site": "call0"},
-        {"kind": "rollback", "time": 3.0, "process": "Z", "tid": 7,
-         "position": 2},
-        {"kind": "abort", "time": 5.0, "process": "X", "guess": "X:i0.n0",
-         "reason": "value_fault"},
-    ]
-    spans = spans_from_protocol_log(log)
-    guess = next(s for s in spans if s.kind == ob.GUESS)
-    assert (guess.start, guess.end) == (0.0, 5.0)
-    assert guess.attrs["outcome"] == "abort"
-    assert guess.attrs["reason"] == "value_fault"
-    rollback = next(s for s in spans if s.kind == ob.ROLLBACK)
-    assert rollback.process == "Z" and rollback.instant
-
-
 def test_as_spans_coercions():
     assert as_spans(None) == []
     assert as_spans([]) == []
@@ -103,7 +84,8 @@ def test_as_spans_coercions():
                 end=0.0)
     assert as_spans([span]) == [span]
     log = [{"kind": "fork", "time": 0.0, "process": "X", "guess": "g"}]
-    assert as_spans(log)[0].kind == ob.GUESS
+    with pytest.raises(TypeError):
+        as_spans(log)
     with pytest.raises(TypeError):
         as_spans(object())
 

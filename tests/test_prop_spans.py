@@ -9,7 +9,6 @@ and exporters that stay deterministic.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import summarize
 from repro.obs import spans as ob
 from repro.obs.export import chrome_trace_json, spans_to_jsonl
 from repro.obs.tracer import RecordingTracer
@@ -57,20 +56,6 @@ def test_duplex_spans_well_formed(spec):
     assert counts["guesses"] == stats.get("opt.forks", 0)
     assert counts["commits"] == stats.get("opt.commits", 0)
     assert counts["aborts"] == stats.get("opt.aborts", 0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(spec=specs)
-def test_duplex_span_analysis_matches_protocol_log(spec):
-    """summarize() from live spans == summarize() from the legacy log."""
-    result, spans = traced_run(spec)
-    from_spans = summarize(spans)
-    from_log = summarize(result.protocol_log)
-    assert (from_spans.forks, from_spans.commits, from_spans.aborts) == \
-        (from_log.forks, from_log.commits, from_log.aborts)
-    assert from_spans.max_depth == from_log.max_depth
-    assert abs(from_spans.mean_doubt_time - from_log.mean_doubt_time) < 1e-9
-    assert from_spans.rollbacks == from_log.rollbacks
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -59,6 +60,12 @@ DOCUMENTED_SURFACE = {
 
 def test_exported_surface_is_exactly_the_documented_one():
     assert set(repro.__all__) == DOCUMENTED_SURFACE
+    assert len(repro.__all__) == len(DOCUMENTED_SURFACE) == 65
+
+
+def test_log_to_span_adapter_is_gone():
+    assert not hasattr(repro.obs, "spans_from_protocol_log")
+    assert "spans_from_protocol_log" not in repro.obs.__all__
 
 
 SUBPACKAGES = [
@@ -66,6 +73,8 @@ SUBPACKAGES = [
     "repro.baselines", "repro.workloads", "repro.bench",
     "repro.csp.dsl", "repro.core.predictors", "repro.core.autoplan",
     "repro.core.analysis", "repro.core.gc", "repro.core.invariants",
+    "repro.core.output", "repro.core.pool", "repro.core.control",
+    "repro.core.recovery", "repro.core.certificates",
     "repro.core.model", "repro.sim.topology", "repro.trace.hb",
     "repro.trace.diagram", "repro.baselines.timewarp",
     "repro.baselines.promises", "repro.workloads.pipelines",
@@ -223,6 +232,17 @@ CONFIG_FIELDS = {
         "max_depth", "increase", "decrease", "probe_interval",
     },
 }
+
+
+def test_configuration_space_has_not_grown():
+    counts = {name: len(dataclasses.fields(getattr(config, name)))
+              for name in CONFIG_FIELDS}
+    assert counts == {"OptimisticConfig": 16, "ResilienceConfig": 5,
+                      "GovernorConfig": 4}
+    params = inspect.signature(repro.OptimisticSystem.__init__).parameters
+    assert list(params) == [
+        "self", "latency_model", "config", "fifo_links", "bandwidth",
+        "tracer", "faults", "strict_plans", "backend", "access"]
 
 
 @pytest.mark.parametrize("cls_name", sorted(CONFIG_FIELDS))

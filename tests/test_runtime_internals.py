@@ -86,7 +86,7 @@ class TestGetTimeUnderRollback:
         thread = rt.threads[0]
         # srv rolled back past the guarded receive but the GetTime reading
         # (taken at warmup consumption) survived the replay verbatim
-        assert rt.stats.get("opt.rollbacks") >= 1 or True
+        assert system.stats.get("opt.rollbacks") >= 1 or True
         assert thread.state["t"] == 2.0  # feeder's send arrives at t=2
         assert thread.state["second"] == "spec"
 
@@ -145,3 +145,32 @@ class TestContention:
         opt = build(True).run()
         assert opt.unresolved == []
         assert_equivalent(opt.trace, seq.trace)
+
+
+class TestThreadTableOrder:
+    def test_thread_ids_stay_ascending_through_forks_aborts_and_gc(self):
+        """Dispatch, sweep and rollback iterate ``rt.threads`` unsorted:
+        dict order must be tid order, whatever created or reclaimed them."""
+        from repro.core.gc import collect
+        from repro.workloads.generators import ChainSpec, chain_workload
+
+        spec = ChainSpec(n_calls=10, n_servers=2, latency=4.0,
+                         service_time=0.5, p_fail=0.5, seed=3)
+        client, servers = chain_workload(spec)
+        system = OptimisticSystem(FixedLatency(spec.latency))
+        rt = system.add_program(client, stream_plan(client))
+        for s in servers:
+            system.add_program(s)
+        system.start()
+        seen_forks = seen_aborts = False
+        for until in (1.0, 10.0, 20.0, 40.0, None):
+            result = system.run(until=until)
+            for runtime in system.runtimes.values():
+                collect(runtime)
+                tids = list(runtime.threads)
+                assert tids == sorted(tids), runtime.name
+            seen_forks |= len(rt.threads) > 1
+            seen_aborts |= result.stats.get("opt.aborts") > 0
+        assert seen_forks and seen_aborts
+        assert result.stats.get("gc.threads") > 0
+        validate_run(system)

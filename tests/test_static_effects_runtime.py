@@ -184,7 +184,7 @@ def test_analyzer_failure_turns_the_feature_off_and_says_so(monkeypatch):
     runtime = system.add_program(program, plan)
     system.add_program(_server())
     result = system.run()
-    assert runtime.effects is None
+    assert runtime.certs.effects is None
     events = [e for e in result.protocol_log
               if e["kind"] == "static_effects_unavailable"]
     # one per runtime that asked for the analysis: the client and the server
