@@ -26,6 +26,8 @@ ifeq ($(LINT_TOOLS),run)
 	$(PYTHON) -m ruff check src/repro tests examples
 	PYTHONPATH=src $(PYTHON) -m mypy src/repro/csp src/repro/core/messages.py \
 		src/repro/core/output.py src/repro/core/pool.py \
+		src/repro/core/history.py src/repro/core/guess.py \
+		src/repro/core/guards.py \
 		src/repro/core/control.py src/repro/core/recovery.py \
 		src/repro/core/certificates.py
 else

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.guess import GuessId
+from repro.core.history import SystemView
 
 
 class CommitDependencyGraph:
@@ -21,13 +22,17 @@ class CommitDependencyGraph:
 
     ``tracer``/``process``/``clock`` are optional observability hooks: when
     a tracer is enabled, every new edge is recorded as a ``cdg_edge`` event
-    stamped with the current virtual time.
+    stamped with the current virtual time.  With a ``view`` the graph is
+    the registered holder of its nodes: ``news`` names the resolved ones.
     """
 
     def __init__(self, tracer=None, process: str = "",
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None,
+                 view: Optional[SystemView] = None) -> None:
         self._succ: Dict[GuessId, Set[GuessId]] = {}
         self._pred: Dict[GuessId, Set[GuessId]] = {}
+        self._view = view
+        self.news: Set[GuessId] = set()
         self._tracer = tracer
         self._process = process
         self._clock = clock
@@ -35,8 +40,11 @@ class CommitDependencyGraph:
     # ------------------------------------------------------------- building
 
     def _ensure(self, node: GuessId) -> None:
-        self._succ.setdefault(node, set())
-        self._pred.setdefault(node, set())
+        if node not in self._succ:
+            self._succ[node] = set()
+            self._pred[node] = set()
+            if self._view is not None:
+                self._view.hold(node, self)
 
     def add_node(self, node: GuessId) -> None:
         """Ensure the guess is a node of the graph."""
@@ -69,6 +77,8 @@ class CommitDependencyGraph:
         """Drop a resolved guess and its edges (§4.2.7)."""
         if node not in self._succ:
             return
+        if self._view is not None:
+            self._view.release(node, self)
         for succ in self._succ.pop(node):
             self._pred[succ].discard(node)
         for pred in self._pred.pop(node):

@@ -15,8 +15,9 @@ of ``C_{2,3}`` is an implicit abort of ``x_{1,3}``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -56,10 +57,10 @@ class GuessId:
 
     def key(self) -> str:
         """Stable string form used in trace tags and debug output."""
-        return self._key
+        return self._key  # type: ignore[attr-defined]
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
-        return self._key
+        return self._key  # type: ignore[attr-defined]
 
 
 def _cached_hash(self: GuessId) -> int:
@@ -80,17 +81,28 @@ class IncarnationTable:
 
     def __init__(self) -> None:
         self.starts: Dict[int, int] = {0: 0}
+        #: truncation bound: ``_bound[i]`` is the lowest known start of any
+        #: incarnation after ``i`` (non-decreasing in ``i``)
+        self._bound: List[float] = []
 
-    def learn_start(self, incarnation: int, index: int) -> None:
-        """Record that ``incarnation`` starts at ``index``.
+    def learn_start(self, incarnation: int, index: int) -> bool:
+        """Record that ``incarnation`` starts at ``index``; True if news.
 
         Conflicting information keeps the smaller start (the earliest point
         at which the incarnation is known to have begun is the truth; a
         larger reported start can only come from stale inference).
         """
         cur = self.starts.get(incarnation)
-        if cur is None or index < cur:
-            self.starts[incarnation] = index
+        if cur is not None and index >= cur:
+            return False
+        self.starts[incarnation] = index
+        bound = self._bound
+        bound.extend([math.inf] * (incarnation - len(bound)))
+        for earlier in range(incarnation - 1, -1, -1):
+            if bound[earlier] <= index:
+                break
+            bound[earlier] = index
+        return True
 
     def learn_abort(self, guess: GuessId) -> None:
         """An abort of ``x_{i,n}`` starts incarnation ``i+1`` at index ``n``."""
@@ -98,10 +110,9 @@ class IncarnationTable:
 
     def implicitly_aborted(self, guess: GuessId) -> bool:
         """True if a known later incarnation truncates this guess's index."""
-        for inc, start in self.starts.items():
-            if inc > guess.incarnation and start <= guess.index:
-                return True
-        return False
+        bound = self._bound
+        return (guess.incarnation < len(bound)
+                and guess.index >= bound[guess.incarnation])
 
     def max_known_incarnation(self) -> int:
         return max(self.starts)

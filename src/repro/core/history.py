@@ -12,12 +12,18 @@ exactly one place:
   table — implicit *abort* of truncated guesses of earlier incarnations.
 * ``ABORT(x_{i,n})`` starts incarnation ``i+1`` at index ``n``, implicitly
   aborting every ``x_{i,m}`` with ``m >= n``.
+
+It is also the one place a status *changes*, so it keeps the holder index:
+which threads, pooled envelopes, buffered emissions and CDG hold each
+unresolved guess.  A holder is any object with a ``news`` set; the update
+that resolves a held guess, explicitly or by implication, adds it to the
+``news`` of exactly its holders and forgets the entry — nobody polls.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.guess import GuessId, IncarnationTable
 
@@ -45,23 +51,72 @@ class PeerView:
         self._explicit: Dict[tuple, GuessStatus] = {}
         #: highest committed index per incarnation (commit implication)
         self._committed_upto: Dict[int, int] = {}
+        #: holder index, unresolved guesses only:
+        #: incarnation -> index -> (guess, {id(holder): holder})
+        self._held: Dict[int, Dict[int, Tuple[GuessId, Dict[int, Any]]]] = {}
 
     # ------------------------------------------------------------- updates
 
     def note_commit(self, guess: GuessId) -> None:
         """Record an explicit COMMIT of the guess."""
-        self._explicit[(guess.incarnation, guess.index)] = GuessStatus.COMMITTED
-        cur = self._committed_upto.get(guess.incarnation)
-        if cur is None or guess.index > cur:
-            self._committed_upto[guess.incarnation] = guess.index
+        inc, index = guess.incarnation, guess.index
+        self._explicit[(inc, index)] = GuessStatus.COMMITTED
+        upto = self._committed_upto.get(inc, -1)
+        if index > upto:
+            self._committed_upto[inc] = index
         # A commit of incarnation i proves incarnation i is live; anything
         # this peer told us about later incarnations still stands (commits
         # of dead guesses are impossible, so no conflict can arise).
+        self._settle(inc, range(min(upto + 1, index), index + 1))
 
     def note_abort(self, guess: GuessId) -> None:
         """Record an explicit ABORT (starts the next incarnation)."""
         self._explicit[(guess.incarnation, guess.index)] = GuessStatus.ABORTED
-        self.incarnations.learn_abort(guess)
+        self._settle(guess.incarnation, (guess.index,))
+        self.learn_start(guess.incarnation + 1, guess.index)
+
+    def learn_start(self, incarnation: int, index: int) -> None:
+        """Record that ``incarnation`` starts at ``index``.
+
+        A lowered start truncates the tail of every earlier incarnation
+        (implicit abort) and widens its own commit implication downwards.
+        """
+        if self.incarnations.learn_start(incarnation, index):
+            for inc, held in self._held.items():
+                if inc <= incarnation:
+                    self._settle(inc, [n for n in held if n >= index])
+
+    def _settle(self, incarnation: int, indices: Iterable[int]) -> None:
+        """Notify the holders of those candidates that are now resolved."""
+        held = self._held.get(incarnation)
+        if not held:
+            return
+        for index in indices:
+            entry = held.get(index)
+            if entry is not None and self.status(entry[0]).resolved:
+                del held[index]
+                for holder in entry[1].values():
+                    holder.news.add(entry[0])
+
+    # -------------------------------------------------------- holder index
+
+    def hold(self, guess: GuessId, holder: Any) -> None:
+        """``holder`` now depends on ``guess``: told at once if resolved."""
+        if self.status(guess).resolved:
+            holder.news.add(guess)
+        else:
+            held = self._held.setdefault(guess.incarnation, {})
+            held.setdefault(guess.index, (guess, {}))[1][id(holder)] = holder
+
+    def release(self, guess: GuessId, holder: Any) -> None:
+        """``holder`` no longer depends on ``guess``, read or unread."""
+        holder.news.discard(guess)
+        held = self._held.get(guess.incarnation, {})
+        entry = held.get(guess.index)
+        if entry is not None:
+            entry[1].pop(id(holder), None)
+            if not entry[1]:
+                del held[guess.index]
 
     def note_unknown(self, guess: GuessId) -> None:
         """Record that a PRECEDENCE put the guess in doubt."""
@@ -119,24 +174,14 @@ class SystemView:
         return self.status(guess) is GuessStatus.ABORTED
 
     def any_aborted(self, guesses: Iterable[GuessId]) -> Optional[GuessId]:
-        """Lowest aborted guess among ``guesses`` (the orphan test, §4.2.3).
-
-        Runs on every message arrival and every dispatch pass, so it does
-        not sort its input: callers only use the result's truthiness (is
-        this an orphan?), never its order among multiple aborted members.
-        The *returned* guess is still deterministic — the minimum aborted
-        member — so log output and tests are stable without paying an
-        O(n log n) sort for the common all-live case.
-        """
+        """Lowest aborted guess among ``guesses``: the orphan test (§4.2.3)
+        by brute force, which the pool's reading of the index is judged by
+        (invariant I4)."""
         found: Optional[GuessId] = None
         for g in guesses:
             if (found is None or g < found) and self.is_aborted(g):
                 found = g
         return found
-
-    def all_committed(self, guesses: Iterable[GuessId]) -> bool:
-        """True iff every listed guess is known committed."""
-        return all(self.is_committed(g) for g in guesses)
 
     def note_commit(self, guess: GuessId) -> None:
         """Record an explicit COMMIT with the owning peer's view."""
@@ -149,3 +194,22 @@ class SystemView:
     def note_unknown(self, guess: GuessId) -> None:
         """Record an in-doubt (PRECEDENCE) marker with the peer's view."""
         self.peer(guess.process).note_unknown(guess)
+
+    def learn_start(self, process: str, incarnation: int, index: int) -> None:
+        """Record an incarnation start with the owning peer's view."""
+        self.peer(process).learn_start(incarnation, index)
+
+    def hold(self, guess: GuessId, holder: Any) -> None:
+        """Register ``holder`` (an object with a ``news`` set) for ``guess``."""
+        self.peer(guess.process).hold(guess, holder)
+
+    def release(self, guess: GuessId, holder: Any) -> None:
+        """Forget that ``holder`` depends on ``guess``."""
+        self.peer(guess.process).release(guess, holder)
+
+    def held(self) -> Iterator[Tuple[GuessId, Iterable[Any]]]:
+        """Every unresolved guess somebody here holds, with its holders."""
+        for view in self._peers.values():
+            for held in view._held.values():
+                for guess, holders in held.values():
+                    yield guess, holders.values()

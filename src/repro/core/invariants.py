@@ -22,6 +22,10 @@ I6  Journal sanity — every surviving thread's journal is live (replay
 I7  Incarnation order — each process's own abort history produced strictly
     increasing incarnation numbers with consistent start indices.
 I8  CDG hygiene — no resolved guess remains a CDG node.
+I9  Index consistency — the view's holder index has an entry for every
+    unresolved guess a surviving thread, pooled envelope, buffered emission
+    or the CDG holds, and none for a resolved guess.  I3, I4 and I8 scan
+    ``status`` by brute force: they are what the index is judged against.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def validate_run(system: OptimisticSystem,
                  allow_unresolved: bool = False) -> List[str]:
     """Check all invariants on a quiesced system; returns checked labels."""
     problems: List[str] = []
-    checked = ["I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"]
+    checked = ["I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9"]
 
     committed = set()
     aborted = set()
@@ -122,6 +126,21 @@ def validate_run(system: OptimisticSystem,
                 problems.append(
                     f"I8: {name} CDG retains resolved node {node.key()}"
                 )
+        # I9 index consistency
+        indexed = {(g, id(h)) for g, holders in rt.view.held() for h in holders}
+        for g in {g for g, _h in indexed if rt.view.status(g).resolved}:
+            problems.append(f"I9: {name} index retains resolved {g.key()}")
+        holdings = [(t, t.guard) for t in rt.threads.values()
+                    if t.status is not ThreadStatus.DESTROYED]
+        holdings += [(e, e.guard) for e in rt.inbox.envelopes]
+        holdings += [(em, em.pending) for em in rt.output.emissions]
+        holdings.append((rt.cdg, rt.cdg.nodes()))
+        problems.extend(
+            f"I9: {name} index misses {g.key()} held by "
+            f"{type(holder).__name__}"
+            for holder, guesses in holdings for g in guesses
+            if not rt.view.status(g).resolved
+            and (g, id(holder)) not in indexed)
 
     if problems:
         raise ProtocolError(

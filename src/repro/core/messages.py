@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Tuple
+from typing import Any, FrozenSet, Set, Tuple
 
 from repro.core.guess import GuessId
 
@@ -43,6 +43,9 @@ class DataEnvelope:
     guard: FrozenSet[GuessId]
     size: int = 1
     msg_id: int = field(default_factory=lambda: next(_envelope_ids))
+    #: receiver side: guard members reported resolved while it is pooled
+    news: Set[GuessId] = field(default_factory=set, compare=False,
+                               repr=False)
 
     def guard_keys(self) -> FrozenSet[str]:
         return frozenset(g.key() for g in self.guard)

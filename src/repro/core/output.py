@@ -4,12 +4,13 @@ An ``Emit`` performed under unresolved guesses cannot be undone once it
 reaches its sink, so :class:`OutputCommit` buffers it: released — in
 program order — when every guess it depends on has committed; dropped when
 one aborts, when its thread is destroyed, or when a rollback discards the
-``Emit`` itself.
+``Emit`` itself.  A buffered emission is a registered holder of its pending
+guesses in the view's index; :meth:`OutputCommit.sweep` reads its ``news``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, List, Set, Tuple
 
 from repro.core.guess import GuessId
@@ -33,6 +34,8 @@ class Emission:
     pending: Set[GuessId]
     released: bool = False
     dropped: bool = False
+    #: pending guesses the view has reported resolved, not yet swept
+    news: Set[GuessId] = field(default_factory=set)
 
 
 class OutputCommit:
@@ -77,6 +80,8 @@ class OutputCommit:
         if emission.pending:
             self.emissions.append(emission)
             self._m.emissions_buffered.inc()
+            for g in emission.pending:
+                self._view.hold(g, emission)
         else:
             self._release(emission)
         return emission.emission_id
@@ -86,6 +91,11 @@ class OutputCommit:
         self._sys.network.send(self.process, emission.sink,
                                emission.payload, size=emission.size)
         self._m.emissions_released.inc()
+
+    def _drop(self, emission: Emission) -> None:
+        emission.dropped = True
+        for g in emission.pending:
+            self._view.release(g, emission)
 
     def unsettled(self) -> List[Emission]:
         """Emissions neither released nor dropped (none at a clean end)."""
@@ -107,7 +117,7 @@ class OutputCommit:
                         f"external emission {emission_id} — output commit "
                         "violated"
                     )
-                em.dropped = True
+                self._drop(em)
         self.emissions = [em for em in self.emissions if not em.dropped]
 
     def drop_thread(self, tid: int) -> None:
@@ -115,7 +125,7 @@ class OutputCommit:
         kept = []
         for em in self.emissions:
             if em.tid == tid and not em.released:
-                em.dropped = True
+                self._drop(em)
                 self._m.emissions_dropped.inc()
             else:
                 kept.append(em)
@@ -128,16 +138,15 @@ class OutputCommit:
         for em in self.emissions:
             if em.released or em.dropped:
                 continue
-            aborted = [g for g in em.pending if self._view.is_aborted(g)]
-            if aborted:
-                em.dropped = True
+            news, em.news = em.news, set()
+            if any(self._view.is_aborted(g) for g in news):
+                self._drop(em)
                 self._m.emissions_dropped.inc()
                 changed = True
                 continue
-            em.pending = {
-                g for g in em.pending if not self._view.is_committed(g)
-            }
-            changed |= not em.pending
+            if news:
+                em.pending -= {g for g in news if self._view.is_committed(g)}
+                changed |= not em.pending
             still.append(em)
         for em in sorted((em for em in still if not em.pending),
                          key=lambda em: em.porder):

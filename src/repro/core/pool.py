@@ -6,7 +6,9 @@ guess) on arrival and at each dispatch pass, matches replies to the caller
 and requests to a blocked receiver chosen by the delivery heuristic,
 extends the consumer's guard, and takes back what a rolled-back thread had
 consumed.  :meth:`MessagePool.taker` is the one "which thread, if any,
-takes this envelope" predicate.
+takes this envelope" predicate.  A pooled envelope is a registered holder
+of its guard in the view's index, so the orphan test of a dispatch pass
+reads the envelope's ``news`` and costs nothing while there is none.
 """
 
 from __future__ import annotations
@@ -47,17 +49,37 @@ class MessagePool:
                 self._m.data_dups.inc()
                 return False
             self._seen.add(envelope.msg_id)
-        if self.is_orphan(envelope):
-            self._note_orphan(envelope)
+        self._hold(envelope)
+        aborted = self._orphaned_by(envelope)
+        if aborted is not None:
+            self._discard_orphan(envelope, aborted)
             return False
         self.envelopes.append(envelope)
         return True
 
+    def _hold(self, envelope: DataEnvelope) -> None:
+        for g in envelope.guard:
+            self._view.hold(g, envelope)
+
+    def _release(self, envelope: DataEnvelope) -> None:
+        for g in envelope.guard:
+            self._view.release(g, envelope)
+
+    def _orphaned_by(self, envelope: DataEnvelope) -> Optional[GuessId]:
+        """Read the envelope's news: its lowest aborted guard member."""
+        news = envelope.news
+        if not news:
+            return None
+        aborted = [g for g in news if self._view.is_aborted(g)]
+        news.clear()
+        return min(aborted, default=None)
+
     def is_orphan(self, envelope: DataEnvelope) -> bool:
-        """The orphan test: some guard member is known aborted."""
+        """The orphan test by brute force: the oracle of invariant I4."""
         return self._view.any_aborted(envelope.guard) is not None
 
-    def _note_orphan(self, envelope: DataEnvelope) -> None:
+    def _discard_orphan(self, envelope: DataEnvelope, aborted: GuessId) -> None:
+        self._release(envelope)
         self._m.orphans_discarded.inc()
         system = self._sys
         system.log_protocol_event(self.process, "orphan_discard", {
@@ -65,11 +87,10 @@ class MessagePool:
         # msg_id is a process-global counter (not per-run), so it stays out
         # of the span attrs to keep traces byte-deterministic.
         if system.tracer.enabled:
-            aborted = self._view.any_aborted(envelope.guard)
-            extra = {"aborted": aborted.key()} if aborted is not None else {}
             system.tracer.event(ob.ORPHAN, self.process, system.backend.now,
                                 src=envelope.src,
-                                guard=sorted(envelope.guard_keys()), **extra)
+                                guard=sorted(envelope.guard_keys()),
+                                aborted=aborted.key())
 
     def requeue(self, slots: List[Slot]) -> None:
         """Take back what discarded journal ``slots`` had consumed.
@@ -85,6 +106,8 @@ class MessagePool:
         if requeued:
             requeued.sort(key=lambda e: e.msg_id)
             self.envelopes[:0] = requeued
+            for envelope in requeued:
+                self._hold(envelope)
 
     # ------------------------------------------------------------- matching
 
@@ -142,9 +165,10 @@ class MessagePool:
         Orphans met on the way are discarded; nothing is delivered yet.
         """
         for envelope in list(self.envelopes):
-            if self.is_orphan(envelope):
+            aborted = self._orphaned_by(envelope)
+            if aborted is not None:
                 self.envelopes.remove(envelope)
-                self._note_orphan(envelope)
+                self._discard_orphan(envelope, aborted)
                 continue
             target = self.taker(envelope, threads)
             if target is not None:
@@ -155,6 +179,7 @@ class MessagePool:
                 target: OptimisticThread) -> None:
         """Hand ``envelope`` to ``target``, which resumes with it."""
         self.envelopes.remove(envelope)
+        self._release(envelope)
         payload = envelope.payload
         if isinstance(payload, CallResponse):
             target.deliver_reply(envelope, payload.value, payload.op)
@@ -170,7 +195,10 @@ class MessagePool:
                        envelope: DataEnvelope, before_position: int) -> None:
         """Extend the consuming thread's guard with the envelope's new guards."""
         new = []
-        for g in sorted(envelope.guard):
+        # Members the thread already holds and has no news of are
+        # unresolved: only the new ones and the news need a status.
+        fresh = thread.guard.new_guards(envelope.guard)
+        for g in sorted(fresh | (thread.news & envelope.guard)):
             status = self._view.status(g)
             if status is GuessStatus.COMMITTED:
                 continue
@@ -186,4 +214,5 @@ class MessagePool:
             for g in new:
                 thread.guard.add(g)
                 thread.rollbacks[g] = before_position
+                self._view.hold(g, thread)
             self._m.guards_acquired.inc(len(new))

@@ -15,8 +15,7 @@ from typing import Any, FrozenSet, List, Mapping, Optional, Protocol
 
 from repro.core.guess import GuessId
 from repro.core.history import GuessStatus, SystemView
-from repro.core.messages import AbortMsg, CommitMsg, QueryMsg
-from repro.core.pool import MessagePool
+from repro.core.messages import AbortMsg, CommitMsg, DataEnvelope, QueryMsg
 from repro.core.thread import OptimisticThread
 
 #: Period (virtual time) of the orphan re-detection scan under resilience.
@@ -43,12 +42,11 @@ class Recovery:
     """Orphan scan, QUERY answering and crash/restart of one process."""
 
     def __init__(self, process: str, view: SystemView, system: Any,
-                 pool: MessagePool, host: RecoveryHost) -> None:
+                 host: RecoveryHost) -> None:
         self.process = process
         self._view = view
         self._sys = system  # OptimisticSystem (untyped: it imports us)
         self._m = system.runtime_metrics
-        self._pool = pool
         self._host = host
         #: True while the simulated process is down (crash fault).
         self.crashed = False
@@ -81,15 +79,13 @@ class Recovery:
         self._sys.send_control(self.process, src, reply)
 
     def unresolved_foreign(self) -> FrozenSet[GuessId]:
-        """Foreign guesses this process depends on whose fate is unknown."""
-        guards: List[Any] = [
-            t.guard for t in self._host.threads.values() if t.alive
-        ]
-        guards.extend(e.guard for e in self._pool.envelopes)
+        """Foreign guesses of unknown fate that a live thread or a pooled
+        envelope holds, read off the view's holder index."""
         return frozenset(
-            g for guard in guards for g in guard
-            if g.process != self.process
-            and not self._view.status(g).resolved
+            g for g, holders in self._view.held()
+            if g.process != self.process and any(
+                isinstance(h, (OptimisticThread, DataEnvelope))
+                for h in holders)
         )
 
     def arm_scan(self) -> None:

@@ -24,7 +24,7 @@ output commit (§3.2) in :mod:`~repro.core.output`, the message pool
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProgramError, ProtocolError
 from repro.core.cdg import CommitDependencyGraph
@@ -131,7 +131,7 @@ class ProcessRuntime:
         self.view = SystemView()
         self.cdg = CommitDependencyGraph(
             tracer=self.tracer, process=self.name,
-            clock=lambda: self.backend.now,
+            clock=lambda: self.backend.now, view=self.view,
         )
         self.threads: Dict[int, OptimisticThread] = {}
         self.children: Dict[int, List[int]] = {}
@@ -139,6 +139,10 @@ class ProcessRuntime:
         self.incarnation = 0
         self.next_fork_index = 0
         self.records: Dict[GuessId, GuessRecord] = {}
+        #: pending ``records``, and the thread that last finished the main
+        #: line: maintained so ``_check_completion`` scans neither table
+        self._pending_records = 0
+        self._main_line: Optional[OptimisticThread] = None
         self.site_attempts: Dict[str, int] = {}
         self.tentative_completion: Optional[float] = None
         self.committed_completion: Optional[float] = None
@@ -152,8 +156,7 @@ class ProcessRuntime:
         #: dependents, fan-out and idempotence of control messages (§4.2.5)
         self.control = ControlRelay(self.name, system)
         #: orphan scan, QUERY answering, crash/restart
-        self.recovery = Recovery(self.name, self.view, system, self.inbox,
-                                 self)
+        self.recovery = Recovery(self.name, self.view, system, self)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -192,6 +195,8 @@ class ProcessRuntime:
         )
         self.threads[tid] = thread
         self.children[tid] = []
+        for g in guard:
+            self.view.hold(g, thread)
         return thread
 
     def log_event(self, kind: str, **detail: Any) -> None:
@@ -272,6 +277,7 @@ class ProcessRuntime:
             certified_keys=certified,
         )
         self.records[guess] = record
+        self._pending_records += 1
         thread.own_guess = guess
         thread.journal.append(
             Slot(kind=FORK, signature=("fork", seg_idx),
@@ -487,6 +493,7 @@ class ProcessRuntime:
             self.evaluate_join(self.records[thread.own_guess], thread)
         else:
             if thread.seg_end >= len(self.program.segments):
+                self._main_line = thread
                 self.tentative_completion = self.backend.now
                 self.log_event("tentative_complete", tid=thread.tid)
                 if self.tracer.enabled:
@@ -596,6 +603,7 @@ class ProcessRuntime:
     def commit_own(self, record: GuessRecord) -> None:
         """Commit one of our guesses and notify dependents (§4.2.7)."""
         record.status = "committed"
+        self._pending_records -= 1
         record.cancel_timer()
         if record.deferred_keys or record.repair:
             self.certs.bank(record.deferred_keys, record.repair,
@@ -654,6 +662,7 @@ class ProcessRuntime:
             if record.status != "pending":
                 continue
             record.status = "aborted"
+            self._pending_records -= 1
             record.cancel_timer()
             to_abort.append(record)
             roots[record.guess] = cascade_root
@@ -670,9 +679,7 @@ class ProcessRuntime:
         self.incarnation += 1
         reset_index = min(r.guess.index for r in to_abort)
         self.next_fork_index = reset_index
-        self.view.peer(self.name).incarnations.learn_start(
-            self.incarnation, reset_index
-        )
+        self.view.learn_start(self.name, self.incarnation, reset_index)
         for record in to_abort:
             self.view.note_abort(record.guess)
             self.system.recorder.mark_aborted(record.guess.key())
@@ -787,14 +794,13 @@ class ProcessRuntime:
         re-acquiring a follower afterwards is legitimate, since the
         follower's own fate is still open.
         """
-        followers: Set[GuessId] = set()
+        dead = {guess}
         if self.config.eager_cdg_rollback:
-            followers = self.cdg.descendants(guess)
-        dead = {guess} | followers
+            dead |= self.cdg.descendants(guess)
         for thread in list(self.threads.values()):
             if not thread.alive:
                 continue
-            affected = thread.guard.members() & dead
+            affected = [g for g in dead if g in thread.guard]
             if affected:
                 position = min(thread.rollbacks[g] for g in affected)
                 self._perform_rollback(thread, position, cause=guess.key())
@@ -863,17 +869,17 @@ class ProcessRuntime:
         # index implies earlier ones; incarnation truncation implies
         # aborts) — explicit notifications for them may never arrive,
         # especially under the targeted control plane.
-        for node in self.cdg.nodes():
-            if self.view.status(node).resolved:
-                self.cdg.remove_node(node)
-        # 1. prune committed guesses; collect rollback targets.
+        for node in list(self.cdg.news):
+            self.cdg.remove_node(node)
+        # 1. prune committed guesses; collect rollback targets.  No news:
+        # no newly resolved guard member (a destroyed thread holds none).
         for thread in list(self.threads.values()):
-            if not thread.alive:
+            if not thread.news:
                 continue
             self._prune_thread_guards(thread)
             # Guard members directly known aborted; the CDG-follower part of
             # §4.2.8's Abortset was applied one-shot in _rollback_for_abort.
-            affected = {g for g in thread.guard if self.view.is_aborted(g)}
+            affected = {g for g in thread.news if self.view.is_aborted(g)}
             if affected:
                 position = min(thread.rollbacks[g] for g in affected)
                 self._perform_rollback(thread, position,
@@ -897,10 +903,10 @@ class ProcessRuntime:
         return changed
 
     def _prune_thread_guards(self, thread: OptimisticThread) -> None:
-        for g in list(thread.guard):
-            if self.view.is_committed(g):
-                thread.guard.discard(g)
-                thread.rollbacks.pop(g, None)
+        for g in [g for g in thread.news if self.view.is_committed(g)]:
+            thread.news.discard(g)
+            thread.guard.discard(g)
+            thread.rollbacks.pop(g, None)
 
     def _perform_rollback(self, thread: OptimisticThread, position: int,
                           cause: Optional[str] = None) -> None:
@@ -964,17 +970,8 @@ class ProcessRuntime:
             return
         if self.tentative_completion is None:
             return
-        main_done = any(
-            t.finished
-            and t.status is ThreadStatus.TERMINATED
-            and t.own_guess is None
-            and t.seg_end >= len(self.program.segments)
-            and not t.guard
-            for t in self.threads.values()
-        )
-        if not main_done:
-            return
-        if any(r.status == "pending" for r in self.records.values()):
+        main = self._main_line_done()
+        if main is None or main.guard or self._pending_records:
             return
         if self.output.unsettled():
             return
@@ -986,15 +983,20 @@ class ProcessRuntime:
 
     # ---------------------------------------------------------------- state
 
+    def _main_line_done(self) -> Optional[OptimisticThread]:
+        """The thread that last finished the main line, while that stands."""
+        t = self._main_line
+        done = (
+            t is not None
+            and t.finished
+            and t.status is ThreadStatus.TERMINATED
+            and t.own_guess is None
+            and t.seg_end >= len(self.program.segments)
+        )
+        return t if done else None
+
     def final_state(self) -> Optional[Dict[str, Any]]:
         """State of the completed main-line thread, if any, with what the
         effect certificates banked at commit overlaid."""
-        for t in self.threads.values():
-            if (
-                t.finished
-                and t.status is ThreadStatus.TERMINATED
-                and t.own_guess is None
-                and t.seg_end >= len(self.program.segments)
-            ):
-                return self.certs.overlay(t.state)
-        return None
+        main = self._main_line_done()
+        return None if main is None else self.certs.overlay(main.state)

@@ -16,7 +16,7 @@ visible action goes through the owning
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Set, Tuple
 
 from repro.errors import EffectError, ProtocolError
 from repro.core.config import CheckpointPolicy
@@ -100,6 +100,9 @@ class OptimisticThread:
         #: rollback may shed them (a position-0 rollback re-executes the
         #: thread, still under the same inherited guesses).
         self._inherited = self.guard.frozen()
+        #: guard members the view has reported resolved and the runtime has
+        #: not acted on yet (this thread is a holder in its index)
+        self.news: Set[GuessId] = set()
         #: The guess whose S1 this thread runs (left threads only).
         self.own_guess = own_guess
 
@@ -169,6 +172,8 @@ class OptimisticThread:
         """Abort-discard this thread; it never runs again."""
         self._cancel_pending()
         self.status = ThreadStatus.DESTROYED
+        for g in self.guard:
+            self.runtime.view.release(g, self)
         if cause is not None:
             self.discard_cause = cause
         self._end_seg_span(outcome="destroyed")
@@ -558,6 +563,7 @@ class OptimisticThread:
             if pos >= position and g not in self._inherited:
                 self.guard.discard(g)
                 del self.rollbacks[g]
+                self.runtime.view.release(g, self)
         self.status = ThreadStatus.REPLAYING
         self.finished = False
         return discarded

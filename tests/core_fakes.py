@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from repro.core.config import OptimisticConfig
 from repro.core.guards import GuardSet
-from repro.core.thread import ThreadStatus
+from repro.core.thread import OptimisticThread, ThreadStatus
 from repro.obs.metrics import MetricsRegistry, RuntimeMetrics
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.stats import Stats
@@ -70,14 +70,19 @@ class FakeSystem:
         self.log.append((process, kind, detail))
 
 
-class FakeThread:
-    """The slice of ``OptimisticThread`` the pool and recovery look at."""
+class FakeThread(OptimisticThread):
+    """The slice of ``OptimisticThread`` the pool and recovery look at.
+
+    A subclass only so that it counts as a thread among the holders of the
+    view's index; nothing of the real class is initialised or used.
+    """
 
     def __init__(self, tid, status=ThreadStatus.RUNNING, guard=(),
                  call_id=None, receive=None, pessimistic=False):
         self.tid = tid
         self.status = status
         self.guard = GuardSet(guard)
+        self.news = set()
         self.rollbacks = {}
         self.interval = 0
         self.waiting_call_id = call_id

@@ -44,10 +44,10 @@ class TestIncarnationTable:
 
     def test_conflicting_start_keeps_smaller(self):
         t = IncarnationTable()
-        t.learn_start(1, 7)
-        t.learn_start(1, 4)
+        assert t.learn_start(1, 7)          # True: it lowered a start
+        assert t.learn_start(1, 4)
         assert t.start_of(1) == 4
-        t.learn_start(1, 9)
+        assert not t.learn_start(1, 9) and not t.learn_start(1, 4)
         assert t.start_of(1) == 4
 
     def test_much_later_incarnation_also_truncates(self):

@@ -78,16 +78,124 @@ class TestSystemView:
         assert found == g(0, 1, "A")
         assert sv.any_aborted([g(0, 9, "C")]) is None
 
-    def test_all_committed(self):
-        sv = SystemView()
-        sv.note_commit(g(0, 0, "X"))
-        sv.note_commit(g(0, 0, "Y"))
-        assert sv.all_committed([g(0, 0, "X"), g(0, 0, "Y")])
-        assert not sv.all_committed([g(0, 0, "X"), g(0, 1, "Y")])
-        assert sv.all_committed([])
-
     def test_status_resolved_property(self):
         assert GuessStatus.COMMITTED.resolved
         assert GuessStatus.ABORTED.resolved
         assert not GuessStatus.PENDING.resolved
         assert not GuessStatus.UNKNOWN.resolved
+
+
+class Holder:
+    """Anything with a ``news`` set can be registered in the index."""
+
+    def __init__(self):
+        self.news = set()
+
+
+def held_guesses(view):
+    return {guess for guess, _holders in view.held()}
+
+
+class TestHolderIndex:
+    def test_in_order_commit_notifies_exactly_the_holders_of_that_guess(self):
+        sv = SystemView()
+        a, b, other = Holder(), Holder(), Holder()
+        sv.hold(g(0, 0), a)
+        sv.hold(g(0, 0), b)
+        sv.hold(g(0, 1), a)
+        sv.hold(g(0, 0, "Y"), other)
+        sv.note_commit(g(0, 0))
+        assert a.news == {g(0, 0)} and b.news == {g(0, 0)}
+        assert other.news == set()
+        assert held_guesses(sv) == {g(0, 1), g(0, 0, "Y")}
+        sv.note_commit(g(0, 1))
+        assert a.news == {g(0, 0), g(0, 1)} and b.news == {g(0, 0)}
+
+    def test_commit_that_jumps_the_watermark_notifies_the_held_range_once(self):
+        sv = SystemView()
+        holders = {n: Holder() for n in (1, 2, 4, 6)}
+        for n, holder in holders.items():
+            sv.hold(g(0, n), holder)
+        sv.note_commit(g(0, 4))         # implies 0..4; nobody holds 0 or 3
+        assert [holders[n].news for n in (1, 2, 4)] == [
+            {g(0, 1)}, {g(0, 2)}, {g(0, 4)}]
+        assert holders[6].news == set() and held_guesses(sv) == {g(0, 6)}
+        for holder in holders.values():
+            holder.news.clear()
+        sv.note_commit(g(0, 2))         # below the watermark: old news
+        sv.note_commit(g(0, 4))
+        assert all(not holder.news for holder in holders.values())
+
+    def test_abort_notifies_the_truncated_tail_of_earlier_incarnations(self):
+        sv = SystemView()
+        cells = [(0, 2), (0, 3), (0, 9), (1, 2), (1, 3), (1, 5), (2, 3)]
+        holders = {cell: Holder() for cell in cells}
+        for cell, holder in holders.items():
+            sv.hold(g(*cell), holder)
+        sv.note_abort(g(1, 3))          # incarnation 2 starts at index 3
+        told = {cell for cell, holder in holders.items() if holder.news}
+        assert told == {(0, 3), (0, 9), (1, 3), (1, 5)}
+        assert held_guesses(sv) == {g(0, 2), g(1, 2), g(2, 3)}
+
+    def test_registering_a_resolved_guess_marks_the_holder_at_once(self):
+        sv = SystemView()
+        sv.note_commit(g(0, 3))
+        sv.note_abort(g(0, 7))
+        holder = Holder()
+        for index in (2, 3, 8, 5):
+            sv.hold(g(0, index), holder)
+        assert holder.news == {g(0, 2), g(0, 3), g(0, 8)}
+        assert held_guesses(sv) == {g(0, 5)}
+
+    def test_a_released_holder_is_never_visited(self):
+        sv = SystemView()
+        gone, stays = Holder(), Holder()
+        sv.hold(g(0, 1), gone)
+        sv.hold(g(0, 1), stays)
+        sv.hold(g(0, 2), gone)
+        sv.release(g(0, 1), gone)
+        sv.release(g(0, 2), gone)
+        assert held_guesses(sv) == {g(0, 1)}        # empty entries go too
+        sv.note_commit(g(0, 2))
+        assert gone.news == set() and stays.news == {g(0, 1)}
+        sv.release(g(0, 1), stays)                  # unread news goes too
+        assert stays.news == set()
+
+    def test_learn_start_goes_through_the_view_and_notifies(self):
+        # what ``abort_own`` does first: the new incarnation's start alone
+        # implicitly aborts the held tail, before any explicit ABORT
+        sv = SystemView()
+        tail, before = Holder(), Holder()
+        sv.hold(g(0, 4), tail)
+        sv.hold(g(0, 1), before)
+        sv.learn_start("X", 1, 2)
+        assert tail.news == {g(0, 4)} and before.news == set()
+        assert sv.status(g(0, 4)) is GuessStatus.ABORTED
+
+    def test_explicit_commit_resolves_despite_a_stale_high_start(self):
+        # ABORT(x_{0,5}) arrived before ABORT(x_{0,3}): incarnation 1 is
+        # believed to start at 5 when COMMIT(x_{1,3}) arrives.
+        sv = SystemView()
+        holder = Holder()
+        sv.note_abort(g(0, 5))
+        sv.hold(g(1, 3), holder)
+        sv.note_commit(g(1, 3))
+        assert sv.status(g(1, 3)) is GuessStatus.COMMITTED
+        assert holder.news == {g(1, 3)} and held_guesses(sv) == set()
+
+    def test_watermark_walk_stops_at_the_incarnation_start(self):
+        # COMMIT(x_{1,6}) with incarnation 1 believed to start at 5 says
+        # nothing about x_{1,3}: still pending, still held, nobody told...
+        sv = SystemView()
+        below, above = Holder(), Holder()
+        sv.note_abort(g(0, 5))
+        sv.hold(g(1, 3), below)
+        sv.hold(g(1, 5), above)
+        sv.note_commit(g(1, 6))
+        assert above.news == {g(1, 5)} and below.news == set()
+        assert sv.status(g(1, 3)) is GuessStatus.PENDING
+        assert held_guesses(sv) == {g(1, 3)}
+        # ...until the true, lower start is learnt: the implication widens
+        sv.note_abort(g(0, 3))
+        assert below.news == {g(1, 3)}
+        assert sv.status(g(1, 3)) is GuessStatus.COMMITTED

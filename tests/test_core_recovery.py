@@ -41,7 +41,10 @@ def make(host, resilient=True):
         resilience=ResilienceConfig() if resilient else None)
     system, view = FakeSystem(config), SystemView()
     pool = MessagePool("X", view, system)
-    return Recovery("X", view, system, pool, host), view, system, pool
+    for thread in host.threads.values():     # as ``_create_thread`` does
+        for g in thread.guard:
+            view.hold(g, thread)
+    return Recovery("X", view, system, host), view, system, pool
 
 
 def test_scan_queries_owners_then_disarms_after_unchanged_rounds():

@@ -24,7 +24,7 @@ def test_fault_free_run_satisfies_all_invariants():
     system = run_system(ChainSpec(n_calls=8, n_servers=2, latency=5.0,
                                   service_time=0.5))
     assert validate_run(system) == ["I1", "I2", "I3", "I4", "I5", "I6",
-                                    "I7", "I8"]
+                                    "I7", "I8", "I9"]
 
 
 def test_faulty_runs_satisfy_all_invariants():
@@ -106,6 +106,33 @@ def test_i4_reports_a_pooled_envelope_a_blocked_thread_would_take():
     server.inbox.envelopes[:] = [
         DataEnvelope("client", "S0", OneWay("op", ()), frozenset({dead}))]
     validate_run(system)
+
+
+def test_i9_reports_a_holding_the_index_misses_and_a_stale_entry():
+    """I9 is a real check: both directions of index/holder disagreement."""
+    from repro.core.guess import GuessId
+    from repro.errors import ProtocolError
+
+    system = run_system(ChainSpec(n_calls=3, n_servers=1, latency=2.0,
+                                  service_time=0.5))
+    validate_run(system)
+    server = system.runtimes["S0"]
+    thread = next(iter(server.threads.values()))
+    # a guard member acquired behind the index's back
+    unheard = GuessId.make("client", 0, 40)
+    thread.guard.add(unheard)
+    with pytest.raises(ProtocolError,
+                       match=r"I9: S0 index misses client:i0.n40 held by "
+                             r"OptimisticThread"):
+        validate_run(system, allow_unresolved=True)
+    server.view.hold(unheard, thread)
+    validate_run(system, allow_unresolved=True)
+    # a resolution that bypasses the view's funnel (what ``abort_own`` used
+    # to do): the table truncates the guess, nobody is told
+    server.view.peer("client").incarnations.learn_start(1, 0)
+    with pytest.raises(ProtocolError,
+                       match=r"I9: S0 index retains resolved client:i0.n40"):
+        validate_run(system, allow_unresolved=True)
 
 
 def test_i4_is_clean_on_every_chaos_schedule():

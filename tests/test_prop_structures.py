@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cdg import CommitDependencyGraph
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId, IncarnationTable
-from repro.core.history import GuessStatus, PeerView
+from repro.core.history import GuessStatus, PeerView, SystemView
 from repro.sim.events import EventQueue
 
 guesses = st.builds(
@@ -114,6 +114,75 @@ def test_history_aborts_win_over_pending_never_flip_commits(events):
             # never produces; absent that, it stays committed.
             if not view.incarnations.implicitly_aborted(GuessId("X", 0, idx)):
                 assert status is GuessStatus.COMMITTED
+
+
+def scan_implicitly_aborted(table, guess):
+    """The pre-index ``IncarnationTable.implicitly_aborted``: the oracle."""
+    return any(inc > guess.incarnation and start <= guess.index
+               for inc, start in table.starts.items())
+
+
+class NewsLog(list):
+    """A ``news`` that keeps duplicates, so a double notification shows."""
+
+    add = list.append
+
+    def discard(self, guess):
+        self[:] = [g for g in self if g != guess]
+
+
+class LoggingHolder:
+    def __init__(self):
+        self.news = NewsLog()
+
+
+index_ops = st.lists(st.tuples(
+    st.sampled_from(["commit", "abort", "unknown", "start", "hold", "hold",
+                     "release"]),
+    st.integers(0, 3), st.integers(0, 6), st.integers(0, 2)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_ops)
+def test_index_notifies_the_held_guesses_whose_status_flipped_once(ops):
+    """Notification == brute-force polling, over any interleaving."""
+    view = SystemView()
+    peer = view.peer("X")
+    holders = [LoggingHolder() for _ in range(3)]
+    domain = [GuessId("X", inc, idx) for inc in range(5) for idx in range(8)]
+    held = set()        # the model: (guess, holder number), unresolved only
+    for kind, inc, idx, who in ops:
+        guess = GuessId("X", inc, idx)
+        for holder in holders:
+            del holder.news[:]
+        resolved_before = {g for g in domain if view.status(g).resolved}
+        expected = []
+        if kind == "hold":
+            view.hold(guess, holders[who])
+            if guess in resolved_before:
+                expected = [(guess, who)]
+            else:
+                held.add((guess, who))
+        elif kind == "release":
+            view.release(guess, holders[who])
+            held.discard((guess, who))
+        else:
+            {"commit": view.note_commit, "abort": view.note_abort,
+             "unknown": view.note_unknown,
+             "start": lambda g: view.learn_start("X", g.incarnation, g.index),
+             }[kind](guess)
+            expected = [(g, n) for g, n in held
+                        if view.status(g).resolved]
+            held.difference_update(expected)
+        told = [(g, n) for n, holder in enumerate(holders)
+                for g in holder.news]
+        assert sorted(told) == sorted(expected)
+        assert {(g, n) for g, hs in view.held()
+                for n, holder in enumerate(holders)
+                if any(h is holder for h in hs)} == held
+        for g in domain:
+            assert (peer.incarnations.implicitly_aborted(g)
+                    == scan_implicitly_aborted(peer.incarnations, g))
 
 
 @settings(max_examples=50, deadline=None)
