@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test lint analyze-smoke trace-smoke chaos-smoke kernel-smoke parallel-smoke e2e-smoke bench bench-obs bench-chaos bench-kernel bench-parallel bench-e2e figures fuzz examples results clean
+.PHONY: install test lint analyze-smoke trace-smoke chaos-smoke kernel-smoke parallel-smoke e2e-smoke e2e-digests bench bench-obs bench-chaos bench-kernel bench-parallel bench-e2e figures fuzz examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -85,6 +85,13 @@ bench-e2e:
 # Its ~10 s schema tier.
 e2e-smoke:
 	$(PYTHON) -m pytest -q benchmarks/e2e/test_smoke.py
+
+# Timing-free byte-equality gate, ~30 s: the sim_digest of each of the five
+# workloads (committed traces and every counter) against the one pinned in
+# benchmarks/e2e/baseline.json.  Run it after any change to the protocol
+# core, before looking at a stopwatch.
+e2e-digests:
+	$(PYTHON) -m pytest -q -m slow tests/test_e2e_digests.py
 
 figures:
 	$(PYTHON) -m repro figures

@@ -34,9 +34,11 @@ class ControlRelay:
         self._seen: Set[Tuple] = set()
 
     def note_tagged(self, guard: Iterable[GuessId], dst: str) -> None:
-        """A message tagged with ``guard`` went to ``dst``."""
-        for g in guard:
-            self.dependents.setdefault(g, set()).add(dst)
+        """A message tagged with ``guard`` went to ``dst``: only targeted
+        fan-out ever asks who depends on a guess."""
+        if self._targeted:
+            for g in guard:
+                self.dependents.setdefault(g, set()).add(dst)
 
     def _trace(self, msg: Any, direction: str) -> None:
         if self._sys.tracer.enabled:

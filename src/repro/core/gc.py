@@ -87,6 +87,7 @@ def collect(runtime: ProcessRuntime) -> Dict[str, int]:
         if left is not None and left.guard:
             continue  # its rollback bookkeeping may still matter
         del runtime.records[guess]
+        runtime.open_records.pop(guess, None)
         reclaimed["records"] += 1
         if runtime.control.dependents.pop(guess, None) is not None:
             reclaimed["dependents"] += 1

@@ -36,6 +36,10 @@ class GuessId:
     index: int
 
     _interned: ClassVar[Dict[Tuple[str, int, int], "GuessId"]] = {}
+    #: (process, incarnation) -> (guesses by index, their keys by index):
+    #: a run of guesses is a slice of the first list, not a loop
+    _rows: ClassVar[Dict[Tuple[str, int],
+                         Tuple[List["GuessId"], List[str]]]] = {}
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -54,6 +58,20 @@ class GuessId:
             guess = cls(process, incarnation, index)
             cls._interned[ident] = guess
         return guess
+
+    @classmethod
+    def row(cls, process: str, incarnation: int,
+            upto: int) -> Tuple[List["GuessId"], List[str]]:
+        """Interned guesses ``x_{incarnation,0..upto}`` (at least) of one
+        process and their keys, both indexed by thread index."""
+        row = cls._rows.get((process, incarnation))
+        if row is None or len(row[0]) <= upto:
+            guesses, keys = row = cls._rows.setdefault(
+                (process, incarnation), ([], []))
+            for index in range(len(guesses), upto + 1):
+                guesses.append(cls.make(process, incarnation, index))
+                keys.append(guesses[-1].key())
+        return row
 
     def key(self) -> str:
         """Stable string form used in trace tags and debug output."""
@@ -108,11 +126,14 @@ class IncarnationTable:
         """An abort of ``x_{i,n}`` starts incarnation ``i+1`` at index ``n``."""
         self.learn_start(guess.incarnation + 1, guess.index)
 
+    def truncation(self, incarnation: int) -> float:
+        """Lowest index of ``incarnation`` known dead (``inf``: none is)."""
+        bound = self._bound
+        return bound[incarnation] if incarnation < len(bound) else math.inf
+
     def implicitly_aborted(self, guess: GuessId) -> bool:
         """True if a known later incarnation truncates this guess's index."""
-        bound = self._bound
-        return (guess.incarnation < len(bound)
-                and guess.index >= bound[guess.incarnation])
+        return guess.index >= self.truncation(guess.incarnation)
 
     def max_known_incarnation(self) -> int:
         return max(self.starts)

@@ -22,10 +22,12 @@ I6  Journal sanity — every surviving thread's journal is live (replay
 I7  Incarnation order — each process's own abort history produced strictly
     increasing incarnation numbers with consistent start indices.
 I8  CDG hygiene — no resolved guess remains a CDG node.
-I9  Index consistency — the view's holder index has an entry for every
-    unresolved guess a surviving thread, pooled envelope, buffered emission
-    or the CDG holds, and none for a resolved guess.  I3, I4 and I8 scan
-    ``status`` by brute force: they are what the index is judged against.
+I9  Index consistency — every unresolved guess a surviving thread, pooled
+    envelope, buffered emission or the CDG holds is covered by a
+    registration of that holder in the view's index, of a run that reaches
+    it and is filed at or above it; and no registration is left whose
+    whole run is resolved.  I3, I4 and I8 scan ``status`` by brute force:
+    they are what the index is judged against.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import ProtocolError
+from repro.core.guess import GuessId
 from repro.core.history import GuessStatus
 from repro.core.system import OptimisticSystem
 from repro.core.thread import ThreadStatus
@@ -95,7 +98,7 @@ def validate_run(system: OptimisticSystem,
         for envelope in rt.inbox.envelopes:
             if rt.inbox.is_orphan(envelope):
                 continue
-            taker = rt.inbox.taker(envelope, rt.threads.values())
+            taker = rt.inbox.taker(envelope, rt.threads)
             if taker is not None:
                 problems.append(
                     f"I4: {name} pool retains envelope {envelope.msg_id} "
@@ -127,9 +130,15 @@ def validate_run(system: OptimisticSystem,
                     f"I8: {name} CDG retains resolved node {node.key()}"
                 )
         # I9 index consistency
-        indexed = {(g, id(h)) for g, holders in rt.view.held() for h in holders}
-        for g in {g for g, _h in indexed if rt.view.status(g).resolved}:
-            problems.append(f"I9: {name} index retains resolved {g.key()}")
+        view, indexed = rt.view, set()
+        for peer, inc, lo, index, h in view.registrations():
+            run = GuessId.row(peer.process, inc, index)[0][lo:index + 1]
+            unresolved = {(g, id(h)) for g in run
+                          if not view.status(g).resolved}
+            if not unresolved:
+                problems.append(f"I9: {name} index retains resolved "
+                                f"{run[-1].key()}")
+            indexed |= unresolved
         holdings = [(t, t.guard) for t in rt.threads.values()
                     if t.status is not ThreadStatus.DESTROYED]
         holdings += [(e, e.guard) for e in rt.inbox.envelopes]
@@ -139,7 +148,7 @@ def validate_run(system: OptimisticSystem,
             f"I9: {name} index misses {g.key()} held by "
             f"{type(holder).__name__}"
             for holder, guesses in holdings for g in guesses
-            if not rt.view.status(g).resolved
+            if not view.status(g).resolved
             and (g, id(holder)) not in indexed)
 
     if problems:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Set, Tuple
+from typing import Any, Collection, FrozenSet, Set, Tuple
 
+from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
 
 _envelope_ids = itertools.count(1)
@@ -40,15 +41,21 @@ class DataEnvelope:
     src: str
     dst: str
     payload: Any
-    guard: FrozenSet[GuessId]
+    guard: GuardSet             # frozen; any iterable of guesses is coerced
     size: int = 1
     msg_id: int = field(default_factory=lambda: next(_envelope_ids))
-    #: receiver side: guard members reported resolved while it is pooled
+    #: receiver side: the runs of the guard (named by their top guess)
+    #: reported settled while it is pooled
     news: Set[GuessId] = field(default_factory=set, compare=False,
                                repr=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.guard, GuardSet):
+            self.guard = GuardSet(self.guard)
+        self.guard = self.guard.frozen()
+
     def guard_keys(self) -> FrozenSet[str]:
-        return frozenset(g.key() for g in self.guard)
+        return self.guard.keys()
 
     def wire_size(self) -> int:
         """Payload size plus one unit per guard tag (C4 accounting)."""
@@ -74,7 +81,7 @@ class PrecedenceMsg:
     """``PRECEDENCE(x_n, Guard)``: every guard member precedes ``x_n`` (§4.2.6)."""
 
     guess: GuessId
-    guard: FrozenSet[GuessId]
+    guard: Collection[GuessId]  # hashable: a frozen GuardSet on the wire
 
 
 @dataclass(frozen=True, slots=True)

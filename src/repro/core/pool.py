@@ -7,17 +7,18 @@ and requests to a blocked receiver chosen by the delivery heuristic,
 extends the consumer's guard, and takes back what a rolled-back thread had
 consumed.  :meth:`MessagePool.taker` is the one "which thread, if any,
 takes this envelope" predicate.  A pooled envelope is a registered holder
-of its guard in the view's index, so the orphan test of a dispatch pass
-reads the envelope's ``news`` and costs nothing while there is none.
+of the runs of its guard in the view's index, so the orphan test of a
+dispatch pass reads the envelope's ``news`` and costs nothing while there
+is none.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, List, Mapping, Optional, Set, Tuple
 
 from repro.core.config import DeliveryHeuristic
 from repro.core.guess import GuessId
-from repro.core.history import GuessStatus, SystemView
+from repro.core.history import SystemView
 from repro.core.journal import RESULT, Slot
 from repro.core.messages import DataEnvelope
 from repro.core.thread import OptimisticThread, ThreadStatus
@@ -49,7 +50,7 @@ class MessagePool:
                 self._m.data_dups.inc()
                 return False
             self._seen.add(envelope.msg_id)
-        self._hold(envelope)
+        self._view.hold_all(envelope.guard, envelope)
         aborted = self._orphaned_by(envelope)
         if aborted is not None:
             self._discard_orphan(envelope, aborted)
@@ -57,29 +58,19 @@ class MessagePool:
         self.envelopes.append(envelope)
         return True
 
-    def _hold(self, envelope: DataEnvelope) -> None:
-        for g in envelope.guard:
-            self._view.hold(g, envelope)
-
-    def _release(self, envelope: DataEnvelope) -> None:
-        for g in envelope.guard:
-            self._view.release(g, envelope)
-
     def _orphaned_by(self, envelope: DataEnvelope) -> Optional[GuessId]:
         """Read the envelope's news: its lowest aborted guard member."""
-        news = envelope.news
-        if not news:
+        if not envelope.news:
             return None
-        aborted = [g for g in news if self._view.is_aborted(g)]
-        news.clear()
-        return min(aborted, default=None)
+        envelope.news.clear()
+        return min(self._view.aborted_members(envelope.guard), default=None)
 
     def is_orphan(self, envelope: DataEnvelope) -> bool:
         """The orphan test by brute force: the oracle of invariant I4."""
         return self._view.any_aborted(envelope.guard) is not None
 
     def _discard_orphan(self, envelope: DataEnvelope, aborted: GuessId) -> None:
-        self._release(envelope)
+        self._view.release_all(envelope.guard, envelope)
         self._m.orphans_discarded.inc()
         system = self._sys
         system.log_protocol_event(self.process, "orphan_discard", {
@@ -107,16 +98,19 @@ class MessagePool:
             requeued.sort(key=lambda e: e.msg_id)
             self.envelopes[:0] = requeued
             for envelope in requeued:
-                self._hold(envelope)
+                self._view.hold_all(envelope.guard, envelope)
 
     # ------------------------------------------------------------- matching
 
     def taker(self, envelope: DataEnvelope,
-              threads: Iterable[OptimisticThread]
+              threads: Mapping[int, OptimisticThread]
               ) -> Optional[OptimisticThread]:
-        """The thread of ``threads`` (in tid order) that takes ``envelope``.
+        """The thread of ``threads`` (tid -> thread, in tid order) that
+        takes ``envelope``.
 
-        A reply goes to the thread blocked on that call; a request to a
+        A reply goes to the thread blocked on that call — a call id is
+        ``(tid, n)`` and a replay reuses the journalled id, so that is the
+        one thread to look at; a request to a
         thread blocked in a matching ``Receive``, chosen by the delivery
         heuristic, where a thread in pessimistic fallback (§3.3) takes only
         fully committed requests.  That filter deliberately does NOT apply
@@ -129,21 +123,21 @@ class MessagePool:
         """
         payload = envelope.payload
         if isinstance(payload, CallResponse):
-            for t in threads:
-                if (t.status is ThreadStatus.BLOCKED_CALL
-                        and t.waiting_call_id == payload.call_id):
-                    return t
-            return None
+            t = threads.get(payload.call_id[0])
+            waiting = (t is not None and t.status is ThreadStatus.BLOCKED_CALL
+                       and t.waiting_call_id == payload.call_id)
+            return t if waiting else None
         if not isinstance(payload, (CallRequest, OneWay)):
             raise ProtocolError(
                 f"{self.process}: bad request payload {payload!r}")
         eligible = [
-            t for t in threads
+            t for t in threads.values()
             if t.status is ThreadStatus.BLOCKED_RECV
             and t.waiting_receive is not None
             and (t.waiting_receive.ops is None
                  or payload.op in t.waiting_receive.ops)
-            and not (t.pessimistic and self._uncommitted(envelope))
+            and (not t.pessimistic
+                 or self._view.all_committed(envelope.guard))
         ]
         if not eligible:
             return None
@@ -155,10 +149,7 @@ class MessagePool:
             )
         return max(eligible, key=lambda t: t.tid)
 
-    def _uncommitted(self, envelope: DataEnvelope) -> Set[GuessId]:
-        return {g for g in envelope.guard if not self._view.is_committed(g)}
-
-    def next_delivery(self, threads: Iterable[OptimisticThread]
+    def next_delivery(self, threads: Mapping[int, OptimisticThread]
                       ) -> Optional[Tuple[DataEnvelope, OptimisticThread]]:
         """The first pooled envelope some thread takes, with that thread.
 
@@ -179,7 +170,7 @@ class MessagePool:
                 target: OptimisticThread) -> None:
         """Hand ``envelope`` to ``target``, which resumes with it."""
         self.envelopes.remove(envelope)
-        self._release(envelope)
+        self._view.release_all(envelope.guard, envelope)
         payload = envelope.payload
         if isinstance(payload, CallResponse):
             target.deliver_reply(envelope, payload.value, payload.op)
@@ -194,25 +185,21 @@ class MessagePool:
     def acquire_guards(self, thread: OptimisticThread,
                        envelope: DataEnvelope, before_position: int) -> None:
         """Extend the consuming thread's guard with the envelope's new guards."""
-        new = []
-        # Members the thread already holds and has no news of are
-        # unresolved: only the new ones and the news need a status.
-        fresh = thread.guard.new_guards(envelope.guard)
-        for g in sorted(fresh | (thread.news & envelope.guard)):
-            status = self._view.status(g)
-            if status is GuessStatus.COMMITTED:
-                continue
-            if status is GuessStatus.ABORTED:
-                raise ProtocolError(
-                    f"{self.process}: consuming orphan envelope "
-                    f"{envelope.msg_id} (guard member {g.key()} aborted)"
-                )
-            if g not in thread.guard:
-                new.append(g)
+        view = self._view
+        aborted = view.aborted_members(envelope.guard)
+        if aborted:
+            raise ProtocolError(
+                f"{self.process}: consuming orphan envelope {envelope.msg_id}"
+                f" (guard member {min(aborted).key()} aborted)"
+            )
+        # What the thread already holds is unresolved (its guard prunes on
+        # read); of the rest, the committed members need no guarding.
+        new = thread.guard.new_guards(envelope.guard)
+        view.prune(new)
         if new:
             thread.interval += 1
-            for g in new:
-                thread.guard.add(g)
-                thread.rollbacks[g] = before_position
-                self._view.hold(g, thread)
+            view.release_all(thread.guard, thread)
+            thread.guard.update(new)
+            view.hold_all(thread.guard, thread)
+            thread.rollbacks.append((before_position, new))
             self._m.guards_acquired.inc(len(new))

@@ -82,10 +82,11 @@ class Recovery:
         """Foreign guesses of unknown fate that a live thread or a pooled
         envelope holds, read off the view's holder index."""
         return frozenset(
-            g for g, holders in self._view.held()
-            if g.process != self.process and any(
-                isinstance(h, (OptimisticThread, DataEnvelope))
-                for h in holders)
+            g for peer, incarnation, lo, index, holder
+            in self._view.registrations()
+            if peer.process != self.process
+            and isinstance(holder, (OptimisticThread, DataEnvelope))
+            for g in peer.unresolved(incarnation, lo, index)
         )
 
     def arm_scan(self) -> None:

@@ -78,7 +78,7 @@ class GuessRecord:
     #: snapshot of the left thread's state at fork, for strict_exports —
     #: shared with the fork's other captures, not a separate copy
     fork_snapshot: Optional[StateSnapshot] = None
-    last_precedence: Optional[frozenset] = None
+    last_precedence: Optional[GuardSet] = None
     #: True when a rollback of the forking thread discarded the FORK slot:
     #: the (former) left thread re-executes the whole range itself, so no
     #: continuation must ever be spawned for this record.
@@ -139,6 +139,9 @@ class ProcessRuntime:
         self.incarnation = 0
         self.next_fork_index = 0
         self.records: Dict[GuessId, GuessRecord] = {}
+        #: the records that can still act — everything not committed — in
+        #: fork order: what the sweep and the cycle check walk
+        self.open_records: Dict[GuessId, GuessRecord] = {}
         #: pending ``records``, and the thread that last finished the main
         #: line: maintained so ``_check_completion`` scans neither table
         self._pending_records = 0
@@ -178,7 +181,6 @@ class ProcessRuntime:
         seg_end: int,
         state: Dict[str, Any],
         guard: GuardSet,
-        inherited_rollbacks: Optional[Dict[GuessId, int]] = None,
         initial_snapshot: Optional[StateSnapshot] = None,
     ) -> OptimisticThread:
         tid = self._next_tid
@@ -190,13 +192,11 @@ class ProcessRuntime:
             seg_end=seg_end,
             state=state,
             guard=guard,
-            inherited_rollbacks=inherited_rollbacks,
             initial_snapshot=initial_snapshot,
         )
         self.threads[tid] = thread
         self.children[tid] = []
-        for g in guard:
-            self.view.hold(g, thread)
+        self.view.hold_all(guard, thread)
         return thread
 
     def log_event(self, kind: str, **detail: Any) -> None:
@@ -250,7 +250,6 @@ class ProcessRuntime:
         right_state = self.snap.restore(right_snap)
         right_guard = thread.guard.copy()
         right_guard.add(guess)
-        inherited = {g: 0 for g in right_guard}
 
         prev_end = thread.seg_end
         right = self._create_thread(
@@ -258,7 +257,6 @@ class ProcessRuntime:
             seg_end=prev_end,
             state=right_state,
             guard=right_guard,
-            inherited_rollbacks=inherited,
             initial_snapshot=right_snap,
         )
         record = GuessRecord(
@@ -276,7 +274,7 @@ class ProcessRuntime:
             deferred_keys=deferred,
             certified_keys=certified,
         )
-        self.records[guess] = record
+        self.records[guess] = self.open_records[guess] = record
         self._pending_records += 1
         thread.own_guess = guess
         thread.journal.append(
@@ -385,7 +383,7 @@ class ProcessRuntime:
                  else thread.guard.frozen())
         envelope = DataEnvelope(src=self.name, dst=dst, payload=payload,
                                 guard=guard, size=size)
-        self.control.note_tagged(envelope.guard, dst)
+        self.control.note_tagged(guard, dst)
         self.system.recorder.record_send(
             self.name, dst, trace_data, self.backend.now,
             guards=envelope.guard_keys(), porder=thread.porder(),
@@ -463,7 +461,7 @@ class ProcessRuntime:
 
     def _deliver_next(self) -> bool:
         """Deliver the pool's next deliverable envelope; False when none."""
-        match = self.inbox.next_delivery(self.threads.values())
+        match = self.inbox.next_delivery(self.threads)
         if match is None:
             return False
         envelope, target = match
@@ -472,6 +470,7 @@ class ProcessRuntime:
         own = target.own_guess
         if (
             self.config.early_reply_abort
+            and own is not None
             and own in envelope.guard
             and isinstance(envelope.payload, CallResponse)
         ):
@@ -548,9 +547,7 @@ class ProcessRuntime:
             self.abort_own([record], reason="time_fault",
                            detail={"cycle": [record.guess.key()]})
             return
-        # Prune resolved guards before deciding.
-        self._prune_thread_guards(left)
-        if not left.guard:
+        if not left.guard:      # pruned of what has committed, as on any read
             self.commit_own(record)
             return
         # Unresolved foreign guesses: the PRECEDENCE protocol (§4.2.6).
@@ -603,6 +600,7 @@ class ProcessRuntime:
     def commit_own(self, record: GuessRecord) -> None:
         """Commit one of our guesses and notify dependents (§4.2.7)."""
         record.status = "committed"
+        del self.open_records[record.guess]
         self._pending_records -= 1
         record.cancel_timer()
         if record.deferred_keys or record.repair:
@@ -748,7 +746,6 @@ class ProcessRuntime:
             seg_end=record.range_end,
             state=self.snap.restore(base),
             guard=left.guard.copy(),
-            inherited_rollbacks={g: 0 for g in left.guard},
             initial_snapshot=base,
         )
         record.continuation_tid = cont.tid
@@ -802,8 +799,9 @@ class ProcessRuntime:
                 continue
             affected = [g for g in dead if g in thread.guard]
             if affected:
-                position = min(thread.rollbacks[g] for g in affected)
-                self._perform_rollback(thread, position, cause=guess.key())
+                self._perform_rollback(
+                    thread, thread.rollback_position(GuardSet(affected)),
+                    cause=guess.key())
 
     def _handle_precedence(self, msg: PrecedenceMsg, src: str) -> None:
         if not self.control.admit(msg, src):
@@ -826,7 +824,7 @@ class ProcessRuntime:
 
     def _check_own_cycles(self) -> None:
         """Abort any of our pending guesses caught in a CDG cycle (§4.2.6)."""
-        for record in list(self.records.values()):
+        for record in list(self.open_records.values()):
             if record.status != "pending":
                 continue
             cycle = self.cdg.cycle_through(record.guess)
@@ -872,22 +870,27 @@ class ProcessRuntime:
         for node in list(self.cdg.news):
             self.cdg.remove_node(node)
         # 1. prune committed guesses; collect rollback targets.  No news:
-        # no newly resolved guard member (a destroyed thread holds none).
+        # no run of the guard newly settled (a destroyed thread holds none).
         for thread in list(self.threads.values()):
             if not thread.news:
                 continue
-            self._prune_thread_guards(thread)
-            # Guard members directly known aborted; the CDG-follower part of
-            # §4.2.8's Abortset was applied one-shot in _rollback_for_abort.
-            affected = {g for g in thread.news if self.view.is_aborted(g)}
+            # Forget the runs that committed (reading ``thread.guard`` is
+            # what prunes).  What is left names runs with a member known
+            # aborted; the CDG-follower part of §4.2.8's Abortset was
+            # applied one-shot in _rollback_for_abort.
+            thread.news -= {g for g in thread.news
+                            if self.view.is_committed(g)}
+            affected = thread.news and self.view.aborted_members(thread.guard)
             if affected:
-                position = min(thread.rollbacks[g] for g in affected)
-                self._perform_rollback(thread, position,
+                self._perform_rollback(thread,
+                                       thread.rollback_position(affected),
                                        cause=min(g.key() for g in affected))
                 changed = True
+            else:
+                thread.news.clear()     # of runs the thread has shed
         # 2. re-evaluate joins of pending guesses whose left thread is done.
-        for record in list(self.records.values()):
-            if record.status == "committed":
+        for record in list(self.open_records.values()):
+            if record.status == "committed":    # by a join earlier in this pass
                 continue
             left = self._left_done(record)
             if left is None:
@@ -901,12 +904,6 @@ class ProcessRuntime:
         # 3. emissions.
         changed |= self.output.sweep()
         return changed
-
-    def _prune_thread_guards(self, thread: OptimisticThread) -> None:
-        for g in [g for g in thread.news if self.view.is_committed(g)]:
-            thread.news.discard(g)
-            thread.guard.discard(g)
-            thread.rollbacks.pop(g, None)
 
     def _perform_rollback(self, thread: OptimisticThread, position: int,
                           cause: Optional[str] = None) -> None:

@@ -2,7 +2,7 @@
 
 A thread executes a contiguous range of program segments over its own copy
 of the process state.  It owns a commit guard set, the ``Rollbacks[g]``
-positions of every guard member, and a :class:`~repro.core.journal.Journal`
+positions of the guards it acquired, and a :class:`~repro.core.journal.Journal`
 that makes it recoverable: rollback truncates the journal and re-executes
 the thread from its initial state, replaying logged results and suppressing
 already-performed side effects.
@@ -16,7 +16,7 @@ visible action goes through the owning
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Generator, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import EffectError, ProtocolError
 from repro.core.config import CheckpointPolicy
@@ -70,7 +70,6 @@ class OptimisticThread:
         seg_end: int,
         state: Dict[str, Any],
         guard: GuardSet,
-        inherited_rollbacks: Optional[Dict[GuessId, int]] = None,
         own_guess: Optional[GuessId] = None,
         initial_snapshot: Optional[StateSnapshot] = None,
     ) -> None:
@@ -90,18 +89,17 @@ class OptimisticThread:
             if initial_snapshot is not None
             else runtime.snap.capture(self.state)
         )
-        self.guard = guard
-        #: Rollbacks[g]: journal position to roll back to when g aborts.
-        #: Guards inherited at creation map to 0 (full re-execution).
-        self.rollbacks: Dict[GuessId, int] = dict(inherited_rollbacks or {})
-        for g in self.guard:
-            self.rollbacks.setdefault(g, 0)
-        #: Birth guards are conditions of this thread's existence: no
-        #: rollback may shed them (a position-0 rollback re-executes the
-        #: thread, still under the same inherited guesses).
-        self._inherited = self.guard.frozen()
-        #: guard members the view has reported resolved and the runtime has
-        #: not acted on yet (this thread is a holder in its index)
+        self._guard = guard
+        self._pruned_at = runtime.view.epoch
+        #: Rollbacks[g] of the guards acquired since birth, oldest first:
+        #: (journal position to roll back to when one aborts, the guards
+        #: acquired there).  Birth guards are conditions of this thread's
+        #: existence: they roll back to 0 (full re-execution, still under
+        #: them) and no rollback sheds them, so they are not listed.
+        self.rollbacks: List[Tuple[int, GuardSet]] = []
+        #: runs of the guard, named by their top guess, that the view has
+        #: reported settled and the runtime has not acted on yet (this
+        #: thread is a holder in its index)
         self.news: Set[GuessId] = set()
         #: The guess whose S1 this thread runs (left threads only).
         self.own_guess = own_guess
@@ -139,6 +137,32 @@ class OptimisticThread:
     # ----------------------------------------------------------- properties
 
     @property
+    def guard(self) -> GuardSet:
+        """The commit guard set, committed members dropped.
+
+        Every reader comes through here: a COMMIT visits no holder, the
+        committed prefix of a run falls out of the guard when it is next
+        read — at most once per update of the view.
+        """
+        view = self.runtime.view
+        if self._pruned_at != view.epoch:
+            self._pruned_at = view.epoch
+            if self._guard and view.prune(self._guard) and not self._guard:
+                self.rollbacks.clear()      # committed: nothing to roll back
+        return self._guard
+
+    def rollback_position(self, dead: GuardSet) -> int:
+        """``min(Rollbacks[g] for g in dead)``; 0 for a birth guard."""
+        first: Optional[int] = None
+        for position, acquired in self.rollbacks:
+            rest = dead.difference(acquired)
+            if len(rest) != len(dead):
+                first, dead = position if first is None else first, rest
+                if not dead:
+                    return first
+        return 0
+
+    @property
     def alive(self) -> bool:
         return self.status not in (ThreadStatus.DESTROYED,)
 
@@ -172,8 +196,7 @@ class OptimisticThread:
         """Abort-discard this thread; it never runs again."""
         self._cancel_pending()
         self.status = ThreadStatus.DESTROYED
-        for g in self.guard:
-            self.runtime.view.release(g, self)
+        self.runtime.view.release_all(self.guard, self)
         if cause is not None:
             self.discard_cause = cause
         self._end_seg_span(outcome="destroyed")
@@ -557,13 +580,13 @@ class OptimisticThread:
             self._replay_charge_from = 0
             self._replay_restore_extra = 0.0
         discarded = self.journal.begin_replay(position)
-        # Guards acquired at or after the rollback point are gone — except
-        # birth guards, which condition the thread's very existence.
-        for g, pos in list(self.rollbacks.items()):
-            if pos >= position and g not in self._inherited:
-                self.guard.discard(g)
-                del self.rollbacks[g]
-                self.runtime.view.release(g, self)
+        # Guards acquired at or after the rollback point are gone.
+        guard, view, rollbacks = self.guard, self.runtime.view, self.rollbacks
+        if rollbacks and rollbacks[-1][0] >= position:
+            view.release_all(guard, self)
+            while rollbacks and rollbacks[-1][0] >= position:
+                guard.difference_update(rollbacks.pop()[1])
+            view.hold_all(guard, self)
         self.status = ThreadStatus.REPLAYING
         self.finished = False
         return discarded

@@ -16,6 +16,14 @@ from repro.sim.stats import Stats
 from repro.trace.recorder import TraceRecorder
 
 
+def held(view):
+    """Every unresolved guess somebody holds in ``view``'s index, each with
+    its holder: the runs of the index, member by member."""
+    for peer, incarnation, lo, index, holder in view.registrations():
+        for guess in peer.unresolved(incarnation, lo, index):
+            yield guess, holder
+
+
 class FakeTimer:
     def __init__(self, delay, action):
         self.delay, self.action = delay, action
@@ -74,8 +82,12 @@ class FakeThread(OptimisticThread):
     """The slice of ``OptimisticThread`` the pool and recovery look at.
 
     A subclass only so that it counts as a thread among the holders of the
-    view's index; nothing of the real class is initialised or used.
+    view's index; nothing of the real class is initialised or used, and
+    ``guard`` is a plain attribute: there is no runtime whose view could
+    prune it on read.
     """
+
+    guard = None
 
     def __init__(self, tid, status=ThreadStatus.RUNNING, guard=(),
                  call_id=None, receive=None, pessimistic=False):
@@ -83,7 +95,7 @@ class FakeThread(OptimisticThread):
         self.status = status
         self.guard = GuardSet(guard)
         self.news = set()
-        self.rollbacks = {}
+        self.rollbacks = []
         self.interval = 0
         self.waiting_call_id = call_id
         self.waiting_receive = receive

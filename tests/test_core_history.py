@@ -1,7 +1,10 @@
 """Commit histories and implicit resolution inference (§4.1.5)."""
 
+from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
 from repro.core.history import GuessStatus, PeerView, SystemView
+
+from .core_fakes import held
 
 
 def g(inc, idx, proc="X"):
@@ -93,7 +96,7 @@ class Holder:
 
 
 def held_guesses(view):
-    return {guess for guess, _holders in view.held()}
+    return {guess for guess, _holder in held(view)}
 
 
 class TestHolderIndex:
@@ -199,3 +202,92 @@ class TestHolderIndex:
         sv.note_abort(g(0, 3))
         assert below.news == {g(1, 3)}
         assert sv.status(g(1, 3)) is GuessStatus.COMMITTED
+
+
+class TestRunHolders:
+    """A holder registers a run ``x_{i,lo..top}`` once, under its top."""
+
+    def test_a_run_is_told_once_when_its_last_member_commits(self):
+        sv = SystemView()
+        peer = sv.peer("X")
+        run, single = Holder(), Holder()
+        peer.hold_run(0, 2, 5, run)
+        sv.hold(g(0, 3), single)
+        for index in (2, 3, 4):
+            sv.note_commit(g(0, index))
+            assert run.news == set()            # a prefix: nobody visited
+        assert single.news == {g(0, 3)}
+        assert held_guesses(sv) == {g(0, 5)}    # what is left of the run
+        sv.note_commit(g(0, 5))
+        assert run.news == {g(0, 5)} and held_guesses(sv) == set()
+
+    def test_a_run_is_told_as_soon_as_a_member_aborts(self):
+        sv = SystemView()
+        peer = sv.peer("X")
+        below, straddling, above = Holder(), Holder(), Holder()
+        peer.hold_run(0, 0, 2, below)
+        peer.hold_run(0, 1, 6, straddling)
+        peer.hold_run(0, 5, 8, above)
+        sv.note_abort(g(0, 4))                  # truncates 4.. of incarnation 0
+        assert below.news == set()
+        assert straddling.news == {g(0, 6)} and above.news == {g(0, 8)}
+        assert held_guesses(sv) == {g(0, 0), g(0, 1), g(0, 2)}
+        assert sv.aborted_members(GuardSet(
+            g(0, n) for n in range(1, 7))) == {g(0, 4), g(0, 5), g(0, 6)}
+
+    def test_registering_a_settled_run_tells_the_holder_at_once(self):
+        sv = SystemView()
+        peer = sv.peer("X")
+        sv.note_commit(g(0, 3))
+        sv.note_abort(g(0, 7))
+        done, dead, open_ = Holder(), Holder(), Holder()
+        peer.hold_run(0, 1, 3, done)
+        peer.hold_run(0, 5, 7, dead)
+        peer.hold_run(0, 2, 6, open_)
+        assert done.news == {g(0, 3)} and dead.news == {g(0, 7)}
+        assert open_.news == set()
+        assert held_guesses(sv) == {g(0, 4), g(0, 5), g(0, 6)}
+        peer.release_run(0, 2, 6, open_)
+        assert held_guesses(sv) == set()
+
+    def test_explicit_commit_of_the_top_under_a_stale_high_start(self):
+        # Trap 1 on a run: incarnation 1 is believed to start at 5 when
+        # COMMIT(x_{1,4}) arrives, so it commits 4 alone; x_{1,3} is still
+        # pending and the run is re-filed under it, nobody told.
+        sv = SystemView()
+        peer = sv.peer("X")
+        run = Holder()
+        sv.note_abort(g(0, 5))
+        peer.hold_run(1, 3, 4, run)
+        sv.note_commit(g(1, 4))
+        assert sv.status(g(1, 4)) is GuessStatus.COMMITTED
+        assert sv.status(g(1, 3)) is GuessStatus.PENDING
+        assert run.news == set() and held_guesses(sv) == {g(1, 3)}
+        guard = GuardSet([g(1, 3), g(1, 4)])
+        assert sv.prune(guard) and guard == {g(1, 3)}
+        sv.note_commit(g(1, 3))                 # explicit again: now done
+        assert run.news == {g(1, 4)} and held_guesses(sv) == set()
+
+    def test_commit_implication_widens_when_the_start_is_lowered(self):
+        # Trap 2 on a run straddling the believed start 5 of incarnation 1:
+        # COMMIT(x_{1,6}) commits 5..6, the part below is re-filed...
+        sv = SystemView()
+        peer = sv.peer("X")
+        run = Holder()
+        sv.note_abort(g(0, 5))
+        peer.hold_run(1, 3, 6, run)
+        sv.note_commit(g(1, 6))
+        assert run.news == set() and held_guesses(sv) == {g(1, 3), g(1, 4)}
+        guard = GuardSet(g(1, n) for n in range(3, 7))
+        assert sv.prune(guard) and guard == {g(1, 3), g(1, 4)}
+        # ...and resolves when the true, lower start is learnt; releasing
+        # by the top the holder registered finds the re-filed run
+        other, pruned = Holder(), Holder()
+        peer.hold_run(1, 3, 6, other)
+        peer.hold_run(1, 3, 6, pruned)
+        peer.release_run(1, 3, 6, other)
+        peer.release_run(1, 3, 4, pruned)       # by what pruning left of it
+        sv.note_abort(g(0, 3))
+        assert run.news == {g(1, 6)} and other.news == pruned.news == set()
+        assert held_guesses(sv) == set()
+        assert sv.prune(guard) and not guard

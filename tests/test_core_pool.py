@@ -28,6 +28,11 @@ def request(op="put", guard=()):
     return DataEnvelope("C", "S", OneWay(op, (1,)), frozenset(guard))
 
 
+def table(*threads):
+    """The tid -> thread table the runtime hands the pool."""
+    return {t.tid: t for t in threads}
+
+
 def receiver(tid, **kw):
     return FakeThread(tid, ThreadStatus.BLOCKED_RECV, receive=Receive(), **kw)
 
@@ -41,11 +46,11 @@ def test_reply_goes_to_the_thread_blocked_on_that_call():
     reply = DataEnvelope("S2", "S", CallResponse((1, 1), "v", "op"),
                          frozenset({G}))
     assert pool.accept(reply)
-    assert pool.next_delivery([other, caller]) == (reply, caller)
+    assert pool.next_delivery(table(other, caller)) == (reply, caller)
     pool.deliver(reply, caller)
     assert caller.delivered == [("reply", reply, "v", "op")]
     assert pool.envelopes == []
-    assert pool.taker(reply, [other]) is None
+    assert pool.taker(reply, table(other)) is None
 
 
 def test_request_needs_a_blocked_receiver_that_accepts_the_op():
@@ -55,9 +60,9 @@ def test_request_needs_a_blocked_receiver_that_accepts_the_op():
     busy = FakeThread(0, ThreadStatus.COMPUTING)
     picky = FakeThread(1, ThreadStatus.BLOCKED_RECV,
                        receive=Receive(ops=("put",)))
-    assert pool.taker(call, [busy, picky]) is None
+    assert pool.taker(call, table(busy, picky)) is None
     anyop = receiver(2)
-    assert pool.taker(call, [busy, picky, anyop]) is anyop
+    assert pool.taker(call, table(busy, picky, anyop)) is anyop
     pool.accept(call)
     pool.deliver(call, anyop)
     kind, _env, req = anyop.delivered[0]
@@ -72,16 +77,16 @@ def test_delivery_heuristic_picks_among_eligible_receivers(heuristic, chosen):
     pool, _view, _system = make(OptimisticConfig(delivery_heuristic=heuristic))
     # t0 already depends on G, so the G-tagged request costs it nothing new
     threads = [receiver(0, guard=(G,)), receiver(1)]
-    assert pool.taker(request(guard=(G,)), threads).tid == chosen
+    assert pool.taker(request(guard=(G,)), table(*threads)).tid == chosen
 
 
 def test_pessimistic_receiver_takes_only_committed_requests():
     pool, view, _system = make()
     thread = receiver(0, pessimistic=True)
     env = request(guard=(G,))
-    assert pool.taker(env, [thread]) is None
+    assert pool.taker(env, table(thread)) is None
     view.note_commit(G)
-    assert pool.taker(env, [thread]) is thread
+    assert pool.taker(env, table(thread)) is thread
 
 
 def test_orphans_are_discarded_on_arrival_and_at_dispatch():
@@ -90,7 +95,7 @@ def test_orphans_are_discarded_on_arrival_and_at_dispatch():
     assert pool.accept(pooled)
     view.note_abort(G)
     assert not pool.accept(request(guard=(G,)))         # on arrival
-    assert pool.next_delivery([receiver(0)]) is None    # at dispatch
+    assert pool.next_delivery(table(receiver(0))) is None    # at dispatch
     assert pool.envelopes == []
     assert system.stats.get("opt.orphans_discarded") == 2
     assert [kind for _p, kind, _d in system.log] == ["orphan_discard"] * 2
@@ -124,7 +129,7 @@ def test_acquire_guards_records_the_rollback_position():
     view.note_commit(done)
     thread = receiver(0)
     pool.acquire_guards(thread, request(guard=(G, done)), before_position=4)
-    assert thread.guard.members() == {G} and thread.rollbacks == {G: 4}
+    assert thread.guard.members() == {G} and thread.rollbacks == [(4, {G})]
     assert thread.interval == 1
     assert system.stats.get("opt.guards_acquired") == 1
 
@@ -132,4 +137,4 @@ def test_acquire_guards_records_the_rollback_position():
 def test_bad_payload_is_a_protocol_error():
     pool, _view, _system = make()
     with pytest.raises(ProtocolError):
-        pool.taker(DataEnvelope("C", "S", "junk", frozenset()), [])
+        pool.taker(DataEnvelope("C", "S", "junk", frozenset()), {})

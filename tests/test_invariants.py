@@ -127,11 +127,23 @@ def test_i9_reports_a_holding_the_index_misses_and_a_stale_entry():
         validate_run(system, allow_unresolved=True)
     server.view.hold(unheard, thread)
     validate_run(system, allow_unresolved=True)
+    # a run registered short of its top: the member above it is uncovered
+    for index in (41, 42):
+        thread.guard.add(GuessId.make("client", 0, index))
+    server.view.release(unheard, thread)
+    server.view.peer("client").hold_run(0, 40, 41, thread)
+    with pytest.raises(ProtocolError,
+                       match=r"I9: S0 index misses client:i0.n42 held by "
+                             r"OptimisticThread"):
+        validate_run(system, allow_unresolved=True)
+    server.view.peer("client").release_run(0, 40, 41, thread)
+    server.view.hold_all(thread.guard, thread)      # one run, under n42
+    validate_run(system, allow_unresolved=True)
     # a resolution that bypasses the view's funnel (what ``abort_own`` used
     # to do): the table truncates the guess, nobody is told
     server.view.peer("client").incarnations.learn_start(1, 0)
     with pytest.raises(ProtocolError,
-                       match=r"I9: S0 index retains resolved client:i0.n40"):
+                       match=r"I9: S0 index retains resolved client:i0.n42"):
         validate_run(system, allow_unresolved=True)
 
 

@@ -1,5 +1,7 @@
 """Property-based tests on the core data structures."""
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cdg import CommitDependencyGraph
@@ -7,6 +9,8 @@ from repro.core.guards import GuardSet
 from repro.core.guess import GuessId, IncarnationTable
 from repro.core.history import GuessStatus, PeerView, SystemView
 from repro.sim.events import EventQueue
+
+from .core_fakes import held as index_of
 
 guesses = st.builds(
     GuessId,
@@ -177,12 +181,156 @@ def test_index_notifies_the_held_guesses_whose_status_flipped_once(ops):
         told = [(g, n) for n, holder in enumerate(holders)
                 for g in holder.news]
         assert sorted(told) == sorted(expected)
-        assert {(g, n) for g, hs in view.held()
-                for n, holder in enumerate(holders)
-                if any(h is holder for h in hs)} == held
+        assert {(g, holders.index(h)) for g, h in index_of(view)} == held
         for g in domain:
             assert (peer.incarnations.implicitly_aborted(g)
                     == scan_implicitly_aborted(peer.incarnations, g))
+
+
+run_ops = st.lists(st.tuples(
+    st.sampled_from(["commit", "abort", "unknown", "start", "hold", "hold",
+                     "release"]),
+    st.integers(0, 3), st.integers(0, 6), st.integers(0, 3),
+    st.integers(0, 2)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_ops)
+def test_index_notifies_a_run_when_it_settles_and_only_then(ops):
+    """Run holders == brute force over the members, in every state.
+
+    A holder of ``x_{i,lo..top}`` is told exactly once: when the last member
+    has committed, or as soon as one aborts.  Until then the run is filed
+    under its highest member that has not committed.  The only updates left
+    out are those no run can make (I2): aborting a committed guess.
+    """
+    view = SystemView()
+    peer = view.peer("X")
+    holders = [LoggingHolder() for _ in range(3)]
+    domain = [GuessId("X", inc, idx) for inc in range(5) for idx in range(11)]
+    runs = {}           # the model: (holder number, inc, top) -> lo
+
+    def status(inc, index):
+        return view.status(GuessId("X", inc, index))
+
+    def rest(inc, lo, top):
+        return [n for n in range(lo, top + 1)
+                if status(inc, n) is not GuessStatus.COMMITTED]
+
+    for kind, inc, lo, length, who in ops:
+        top = lo + length
+        guess = GuessId("X", inc, lo)
+        for holder in holders:
+            del holder.news[:]
+        if kind in ("abort", "start"):
+            probe = copy.deepcopy(peer)
+            (probe.note_abort(guess) if kind == "abort"
+             else probe.learn_start(inc, lo))
+            if any(view.status(g) is GuessStatus.COMMITTED
+                   and probe.status(g) is GuessStatus.ABORTED
+                   for g in domain):
+                continue
+        if kind == "hold":
+            if (who, inc, top) in runs or any(
+                    w == who and i == inc and l <= top and lo <= t
+                    for (w, i, t), l in runs.items()):
+                continue        # the runs of one guard are disjoint
+            peer.hold_run(inc, lo, top, holders[who])
+            runs[(who, inc, top)] = lo
+        elif kind == "release":
+            peer.release_run(inc, runs.pop((who, inc, top), lo), top,
+                             holders[who])
+        else:
+            {"commit": view.note_commit, "abort": view.note_abort,
+             "unknown": view.note_unknown,
+             "start": lambda g: view.learn_start("X", g.incarnation, g.index),
+             }[kind](guess)
+        expected = []
+        for (n, i, t), l in list(runs.items()):
+            left = rest(i, l, t)
+            if not left or status(i, left[-1]) is GuessStatus.ABORTED:
+                expected.append((GuessId("X", i, t), n))
+                del runs[(n, i, t)]
+        told = [(g, n) for n, holder in enumerate(holders)
+                for g in holder.news]
+        assert sorted(told) == sorted(expected)
+        assert sorted((holders.index(h), i, filed)
+                      for _p, i, _lo, filed, h in view.registrations()
+                      ) == sorted((n, i, rest(i, l, t)[-1])
+                                  for (n, i, t), l in runs.items())
+        assert sorted((g, holders.index(h)) for g, h in index_of(view)
+                      ) == sorted((GuessId("X", i, m), n)
+                                  for (n, i, t), l in runs.items()
+                                  for m in rest(i, l, t))
+    # a holder that pruned its guard releases what is left of the run
+    for (n, i, t), l in runs.items():
+        left = rest(i, l, t)
+        peer.release_run(i, left[0], left[-1], holders[n])
+    assert list(view.registrations()) == []
+
+
+guard_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["add", "discard", "commit", "abort", "start"]),
+              guesses),
+    st.tuples(st.sampled_from(["union", "difference", "new_guards"]),
+              st.lists(guesses, max_size=8)),
+    st.tuples(st.sampled_from(["copy", "frozen"]), st.none())), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(guesses, max_size=12), guard_ops)
+def test_guard_runs_behave_as_the_set_of_their_members(initial, ops):
+    """``GuardSet`` (index runs) against a plain ``set`` of guesses, holes
+    included, with the view pruning both: runs by ``SystemView.prune``, the
+    set by brute-force ``status``."""
+    view = SystemView()
+    guard, model = GuardSet(initial), set(initial)
+    for kind, arg in ops:
+        if kind == "add":
+            guard.add(arg)
+            model.add(arg)
+        elif kind == "discard":
+            guard.discard(arg)
+            model.discard(arg)
+        elif kind == "union":
+            guard, model = guard.union(arg), model | set(arg)
+        elif kind == "difference":
+            guard, model = guard.difference(GuardSet(arg)), model - set(arg)
+        elif kind == "new_guards":
+            assert guard.new_guards(frozenset(arg)) == set(arg) - model
+            assert len(guard.new_guards(GuardSet(arg).frozen())
+                       ) == len(set(arg) - model)
+        elif kind == "copy":
+            guard = guard.copy()
+        elif kind == "frozen":
+            guard = guard.frozen().copy()
+        else:
+            {"commit": view.note_commit, "abort": view.note_abort,
+             "start": lambda g: view.learn_start(
+                 g.process, g.incarnation, g.index)}[kind](arg)
+        committed = {g for g in model if view.is_committed(g)}
+        assert view.prune(guard) == bool(committed)
+        model -= committed
+        assert view.all_committed(guard) == (not model)
+        assert guard.members() == model and len(guard) == len(model)
+        assert bool(guard) == bool(model)
+        assert guard.sorted_members() == sorted(model)
+        assert guard.keys() == frozenset(g.key() for g in model)
+        assert all((g in guard) == (g in model)
+                   for g in model | {GuessId("A", 0, 0), GuessId("C", 3, 8)})
+        frozen, again = guard.frozen(), GuardSet(sorted(model)).frozen()
+        assert frozen == again and hash(frozen) == hash(again)
+        assert frozen == model and guard == frozenset(model)
+        assert (guard != GuardSet(model | {GuessId("D", 0, 0)}))
+        latest = {}
+        for g in model:
+            key = (g.process, g.incarnation)
+            latest[key] = max(latest.get(key, g), g)
+        assert guard.compressed() == set(latest.values())
+        assert view.aborted_members(guard) == {
+            g for g in model if view.is_aborted(g)}
+        assert min(view.aborted_members(guard),
+                   default=None) == view.any_aborted(model)
 
 
 @settings(max_examples=50, deadline=None)
