@@ -27,7 +27,7 @@ ifeq ($(LINT_TOOLS),run)
 	PYTHONPATH=src $(PYTHON) -m mypy src/repro/csp src/repro/core/messages.py \
 		src/repro/core/output.py src/repro/core/pool.py \
 		src/repro/core/history.py src/repro/core/guess.py \
-		src/repro/core/guards.py \
+		src/repro/core/guards.py src/repro/core/cdg.py \
 		src/repro/core/control.py src/repro/core/recovery.py \
 		src/repro/core/certificates.py
 else
@@ -86,10 +86,11 @@ bench-e2e:
 e2e-smoke:
 	$(PYTHON) -m pytest -q benchmarks/e2e/test_smoke.py
 
-# Timing-free byte-equality gate, ~30 s: the sim_digest of each of the five
-# workloads (committed traces and every counter) against the one pinned in
-# benchmarks/e2e/baseline.json.  Run it after any change to the protocol
-# core, before looking at a stopwatch.
+# Timing-free byte-equality gate, ~80 s: the sim_digest of each of the five
+# workloads (committed traces and every counter) at seed 11 against the one
+# pinned in benchmarks/e2e/baseline.json, and at held-out seed 23 against
+# tests/data/e2e_digests_seed23.json.  Run it after any change to the
+# protocol core, before looking at a stopwatch.
 e2e-digests:
 	$(PYTHON) -m pytest -q -m slow tests/test_e2e_digests.py
 

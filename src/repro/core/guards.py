@@ -42,8 +42,11 @@ def pairs(runs: Runs) -> Iterable[Tuple[int, ...]]:
 
 def union_runs(a: Runs, b: Runs) -> Runs:
     """The indices in ``a`` or in ``b``."""
-    if len(a) == len(b) == 2 and a[1] + 1 == b[0]:   # b continues a
-        return (a[0], b[1])
+    if len(a) == len(b) == 2:
+        if a[1] + 1 == b[0]:                        # b continues a
+            return (a[0], b[1])
+        if a[0] <= b[0] and b[1] <= a[1]:           # a holds b
+            return a
     out: List[int] = []
     for lo, hi in sorted(chain(pairs(a), pairs(b))):
         if out and lo <= out[-1] + 1:
@@ -169,6 +172,10 @@ class GuardSet:
     def runs(self) -> ItemsView[RunKey, Runs]:
         """The representation: ``(process, incarnation) -> index runs``."""
         return self._runs.items()
+
+    def runs_of(self, key: RunKey) -> Runs:
+        """The index runs of one (process, incarnation); ``()`` if none."""
+        return self._runs.get(key, ())
 
     def set_runs(self, key: RunKey, runs: Runs) -> None:
         """Replace the index runs of one (process, incarnation)."""

@@ -21,7 +21,12 @@ I6  Journal sanity — every surviving thread's journal is live (replay
     cursors fully drained).
 I7  Incarnation order — each process's own abort history produced strictly
     increasing incarnation numbers with consistent start indices.
-I8  CDG hygiene — no resolved guess remains a CDG node.
+I8  CDG hygiene — no resolved guess remains a CDG node.  The graph keeps
+    nodes and predecessor sets as guard runs and prunes nothing on read:
+    a guess leaves by ``remove_node`` (the COMMIT/ABORT handlers,
+    ``commit_own``/``abort_own``) or in sweep phase 0, which drops every
+    node resolved by implication — so this checks phase 0 ran after the
+    last resolution.
 I9  Index consistency — every unresolved guess a surviving thread, pooled
     envelope, buffered emission or the CDG holds is covered by a
     registration of that holder in the view's index, of a run that reaches

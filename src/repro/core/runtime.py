@@ -104,6 +104,8 @@ class ProcessRuntime:
     #: re-entrancy latches of the two fixpoint drivers: set on the
     #: instance while :meth:`dispatch` / :meth:`resolve_sweep` run
     _in_dispatch = _dispatch_again = _in_sweep = _sweep_again = False
+    #: fork-order cycle scans in progress (:meth:`_check_own_cycles`)
+    _cycle_scans = 0
 
     def __init__(
         self,
@@ -554,14 +556,14 @@ class ProcessRuntime:
         snapshot = left.guard.frozen()
         if record.last_precedence != snapshot:
             record.last_precedence = snapshot
-            self.cdg.add_precedence(record.guess, snapshot)
+            grew = self.cdg.add_precedence(record.guess, snapshot)
             self.control.originate(
                 PrecedenceMsg(guess=record.guess, guard=snapshot)
             )
             self.m.precedence_sent.inc()
             self.log_event("precedence_sent", guess=record.guess.key(),
-                           guard=sorted(g.key() for g in snapshot))
-            self._check_own_cycles()
+                           guard=sorted(snapshot.keys()))
+            self._check_own_cycles(record.guess, grew)
 
     def _left_done(self, record: GuessRecord) -> Optional[OptimisticThread]:
         """The record's left thread, if it has run S1 to the join point."""
@@ -790,12 +792,20 @@ class ProcessRuntime:
         the local CDG (the paper's Abortset).  Applied once per abort:
         re-acquiring a follower afterwards is legitimate, since the
         follower's own fate is still open.
+
+        The view has just recorded the abort, so every thread holding the
+        guess has news of the run it sits in (I9), and a rollback that
+        re-registers a guard still holding a dead guess is told again at
+        once; a thread without news is skipped.  CDG followers are not
+        aborted and nobody is told of them: with ``eager_cdg_rollback``
+        every thread is tested.
         """
         dead = {guess}
-        if self.config.eager_cdg_rollback:
+        eager = self.config.eager_cdg_rollback
+        if eager:
             dead |= self.cdg.descendants(guess)
         for thread in list(self.threads.values()):
-            if not thread.alive:
+            if not (thread.news or eager) or not thread.alive:
                 continue
             affected = [g for g in dead if g in thread.guard]
             if affected:
@@ -806,8 +816,9 @@ class ProcessRuntime:
     def _handle_precedence(self, msg: PrecedenceMsg, src: str) -> None:
         if not self.control.admit(msg, src):
             return
+        guard = GuardSet(msg.guard)
         self.log_event("precedence_received", guess=msg.guess.key(),
-                       guard=sorted(g.key() for g in msg.guard))
+                       guard=sorted(guard.keys()))
         if self.view.status(msg.guess).resolved:
             return  # stale: the guess already committed or aborted
         self.view.note_unknown(msg.guess)
@@ -815,26 +826,44 @@ class ProcessRuntime:
         # committed ones are satisfied, aborted ones resolve via the abort
         # path — and re-adding them would leak nodes the resolution already
         # removed from the graph.
-        live_guard = {
-            g for g in msg.guard if not self.view.status(g).resolved
-        }
-        self.cdg.add_precedence(msg.guess, live_guard)
-        self._check_own_cycles()
+        self.view.prune(guard)
+        guard.difference_update(self.view.aborted_members(guard))
+        grew = self.cdg.add_precedence(msg.guess, guard)
+        self._check_own_cycles(msg.guess, grew)
         self.resolve_sweep()
 
-    def _check_own_cycles(self) -> None:
-        """Abort any of our pending guesses caught in a CDG cycle (§4.2.6)."""
-        for record in list(self.open_records.values()):
-            if record.status != "pending":
-                continue
-            cycle = self.cdg.cycle_through(record.guess)
-            if cycle is not None:
-                keys = [g.key() for g in cycle]
-                self.m.aborts_cycle.inc()
-                self.log_event("cycle_abort", guess=record.guess.key(),
-                               cycle=keys)
-                self.abort_own([record], reason="cycle",
-                               detail={"cycle": keys})
+    def _check_own_cycles(self, guess: GuessId, grew: bool) -> None:
+        """Abort any of our pending guesses caught in a CDG cycle (§4.2.6).
+
+        ``guess`` has just been given predecessors (new edges if ``grew``),
+        and every new edge ends at it.  Each check leaves none of our
+        pending guesses on a cycle, so a cycle that is new runs through
+        ``guess``: no new edge, no new cycle, and otherwise one DFS from
+        ``guess`` settles the common, acyclic case.  Only when it finds a
+        cycle is every pending guess checked, in fork order.  An abort
+        inside that scan may replay a join that checks again; while a scan
+        is in progress, that nested check scans in full as well, so a
+        second guess on an older cycle aborts at the point, and in the
+        order, a full scan would abort it.
+        """
+        if not self._cycle_scans and (
+                not grew or self.cdg.cycle_through(guess) is None):
+            return
+        self._cycle_scans += 1
+        try:
+            for record in list(self.open_records.values()):
+                if record.status != "pending":
+                    continue
+                cycle = self.cdg.cycle_through(record.guess)
+                if cycle is not None:
+                    keys = [g.key() for g in cycle]
+                    self.m.aborts_cycle.inc()
+                    self.log_event("cycle_abort", guess=record.guess.key(),
+                                   cycle=keys)
+                    self.abort_own([record], reason="cycle",
+                                   detail={"cycle": keys})
+        finally:
+            self._cycle_scans -= 1
 
     # -------------------------------------------------------- resolve sweep
 
@@ -867,8 +896,7 @@ class ProcessRuntime:
         # index implies earlier ones; incarnation truncation implies
         # aborts) — explicit notifications for them may never arrive,
         # especially under the targeted control plane.
-        for node in list(self.cdg.news):
-            self.cdg.remove_node(node)
+        self.cdg.drop_resolved()
         # 1. prune committed guesses; collect rollback targets.  No news:
         # no run of the guard newly settled (a destroyed thread holds none).
         for thread in list(self.threads.values()):

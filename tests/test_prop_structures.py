@@ -11,6 +11,7 @@ from repro.core.history import GuessStatus, PeerView, SystemView
 from repro.sim.events import EventQueue
 
 from .core_fakes import held as index_of
+from .reference_cdg import CommitDependencyGraph as MemberGraph
 
 guesses = st.builds(
     GuessId,
@@ -331,6 +332,84 @@ def test_guard_runs_behave_as_the_set_of_their_members(initial, ops):
             g for g in model if view.is_aborted(g)}
         assert min(view.aborted_members(guard),
                    default=None) == view.any_aborted(model)
+
+
+cdg_guesses = st.builds(
+    GuessId,
+    process=st.sampled_from(["A", "B"]),
+    incarnation=st.integers(0, 2),
+    index=st.integers(0, 7),
+)
+#: a guard: a few runs ``x_{i,lo..lo+length}``, so holes and overlaps occur
+cdg_guards = st.lists(st.tuples(
+    st.sampled_from(["A", "B"]), st.integers(0, 2), st.integers(0, 7),
+    st.integers(0, 3)), max_size=3).map(lambda runs: [
+        GuessId(p, i, n) for p, i, lo, length in runs
+        for n in range(lo, min(lo + length, 7) + 1)])
+cdg_ops = st.lists(st.one_of(
+    st.tuples(st.just("precedence"), cdg_guesses, cdg_guards),
+    st.tuples(st.sampled_from(["remove", "commit", "abort", "start"]),
+              cdg_guesses, st.none()),
+    st.tuples(st.just("sweep"), st.none(), st.none())), max_size=40)
+CDG_DOMAIN = [GuessId(p, i, n) for p in "AB" for i in range(3)
+              for n in range(8)]
+
+
+def assert_same_graph(cdg, oracle):
+    nodes = oracle.nodes()
+    assert cdg.nodes() == nodes
+    assert cdg.edges() == oracle.edges()
+    assert cdg.edge_count() == oracle.edge_count()
+    for node in nodes + [CDG_DOMAIN[0], CDG_DOMAIN[-1]]:
+        assert cdg.has_node(node) == oracle.has_node(node)
+        assert cdg.successors(node) == oracle.successors(node)
+        assert cdg.predecessors(node) == oracle.predecessors(node)
+        assert cdg.descendants(node) == oracle.descendants(node)
+        assert cdg.cycle_through(node) == oracle.cycle_through(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdg_ops)
+def test_cdg_over_runs_behaves_as_the_member_graph(ops):
+    """The graph over guard runs against ``tests/reference_cdg.py``, one
+    edge per member, both holders in one view.
+
+    Nodes, edges, neighbours and the path ``cycle_through`` returns agree
+    after every step, sweep phase 0 or not — nothing leaves on read — and
+    after phase 0 the index covers exactly the unresolved nodes.  An update
+    that takes a commit implication back (a start learned above a committed
+    index) comes in a run from a handler of its own, after the sweep of the
+    previous one: here too, the sweep comes first.
+    """
+    view, shadow = SystemView(), SystemView()
+    cdg, oracle = CommitDependencyGraph(view=view), MemberGraph(view=view)
+
+    def sweep():
+        cdg.drop_resolved()
+        for node in list(oracle.news):
+            oracle.remove_node(node)
+        assert {g for g, h in index_of(view) if h is cdg} == {
+            g for g in cdg.nodes() if not view.status(g).resolved}
+
+    for kind, guess, guard in ops + [("sweep", None, None)]:
+        if kind == "precedence":
+            cdg.add_precedence(guess, GuardSet(guard))
+            oracle.add_precedence(guess, guard)
+        elif kind == "remove":
+            cdg.remove_node(guess)
+            oracle.remove_node(guess)
+        elif kind == "sweep":
+            sweep()
+        else:
+            committed = [g for g in CDG_DOMAIN if shadow.is_committed(g)]
+            for target in (shadow, view):
+                {"commit": target.note_commit, "abort": target.note_abort,
+                 "start": lambda g, v=target: v.learn_start(
+                     g.process, g.incarnation, g.index)}[kind](guess)
+                if target is shadow and not all(map(shadow.is_committed,
+                                                    committed)):
+                    sweep()
+        assert_same_graph(cdg, oracle)
 
 
 @settings(max_examples=50, deadline=None)

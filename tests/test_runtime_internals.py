@@ -174,3 +174,63 @@ class TestThreadTableOrder:
         assert seen_forks and seen_aborts
         assert result.stats.get("gc.threads") > 0
         validate_run(system)
+
+
+class TestRollbackForAbort:
+    """``_rollback_for_abort(g)`` visits only threads with news: the view has
+    just recorded the abort, so a thread holding ``g`` has heard (I9)."""
+
+    @staticmethod
+    def idle(state):
+        return
+        yield
+
+    def test_the_next_dead_guess_is_still_news_after_a_rollback(self):
+        """A thread acquired ``y`` at journal position 1 and ``z`` at 3;
+        one update kills both.  The rollback for ``z`` re-registers what is
+        left of the guard, ``y``, which is dead: the view tells the thread
+        at once, so the rollback for ``y`` still finds it."""
+        from repro.core.guards import GuardSet
+        from repro.core.guess import GuessId
+
+        system = OptimisticSystem(FixedLatency(1.0))
+        rt = system.add_program(Program("X", [Segment("s", self.idle)]))
+        thread = rt._create_thread(seg_start=0, seg_end=1, state={},
+                                   guard=GuardSet())
+        y, z = GuessId.make("Y", 0, 0), GuessId.make("Z", 0, 0)
+        for position, guess in ((1, y), (3, z)):
+            rt.view.release_all(thread.guard, thread)
+            thread.guard.add(guess)
+            rt.view.hold_all(thread.guard, thread)
+            thread.rollbacks.append((position, GuardSet([guess])))
+        positions = []
+        rt._perform_rollback = lambda t, position, cause=None: (
+            positions.append(position), t.rollback_to(position))
+        rt.view.note_abort(z)
+        rt.view.note_abort(y)
+        assert thread.news == {y, z}
+        rt._rollback_for_abort(z)
+        assert thread.guard == {y} and thread.news == {y}
+        rt._rollback_for_abort(y)
+        assert positions == [3, 1] and not thread.guard
+
+    def test_every_thread_holding_the_dead_guess_has_news(self, monkeypatch):
+        """Brute force at every call, over six duplex runs."""
+        from repro.core.runtime import ProcessRuntime
+        from repro.workloads.random_duplex import (DuplexSpec,
+                                                   build_duplex_system)
+
+        original, calls = ProcessRuntime._rollback_for_abort, [0]
+
+        def checked(rt, guess):
+            calls[0] += 1
+            assert all(t.news for t in rt.threads.values()
+                       if t.alive and guess in t.guard)
+            original(rt, guess)
+
+        monkeypatch.setattr(ProcessRuntime, "_rollback_for_abort", checked)
+        for seed in range(6):
+            build_duplex_system(DuplexSpec(
+                n_steps=20, n_signals=5, n_servers=2, wrong_guess_bias=3,
+                seed=seed), optimistic=True).run()
+        assert calls[0] > 0
