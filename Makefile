@@ -29,7 +29,8 @@ ifeq ($(LINT_TOOLS),run)
 		src/repro/core/history.py src/repro/core/guess.py \
 		src/repro/core/guards.py src/repro/core/cdg.py \
 		src/repro/core/control.py src/repro/core/recovery.py \
-		src/repro/core/certificates.py
+		src/repro/core/certificates.py src/repro/core/transport.py \
+		src/repro/sim/rng.py src/repro/sim/faults.py
 else
 	@echo "LINT_TOOLS=$(LINT_TOOLS): skipping ruff/mypy (pinned dev deps; pip install -e '.[dev]' to enable)"
 endif

@@ -97,12 +97,6 @@ class ProgramSummary:
     def initial_keys(self) -> FrozenSet[str]:
         return frozenset(self.program.initial_state)
 
-    def all_writes(self) -> FrozenSet[str]:
-        out: set = set()
-        for s in self.segments:
-            out |= s.writes
-        return frozenset(out)
-
 
 def _source_of(fn: Any) -> Optional[str]:
     import inspect

@@ -157,10 +157,8 @@ class TimeWarpKernel:
     def _physical_delay(self) -> float:
         if self.physical_jitter <= 0:
             return self.physical_latency
-        jitter = float(
-            self.rng.stream("tw-jitter").uniform(0, self.physical_jitter)
-        )
-        return self.physical_latency + jitter
+        return self.physical_latency + self.rng.uniform(
+            "tw-jitter", 0, self.physical_jitter)
 
     def _transmit(self, event: TWEvent, physical_delay: Optional[float] = None) -> None:
         if event.dst not in self.lps:

@@ -262,19 +262,6 @@ class CommitDependencyGraph:
                 visited.add(cur)
         return None
 
-    def find_any_cycle(self) -> Optional[List[GuessId]]:
-        """Some cycle in the graph, or ``None`` (used by invariant tests)."""
-        for node in self.nodes():
-            cyc = self.cycle_through(node)
-            if cyc is not None:
-                return cyc
-        return None
-
-    def edge_count(self) -> int:
-        """Number of edges in the graph."""
-        return sum(hi - lo + 1 for filed in self._pred.values()
-                   for runs in filed.values() for lo, hi in pairs(runs))
-
     def edges(self) -> List[Tuple[GuessId, GuessId]]:
         """All ``(src, dst)`` precedence edges, sorted — forensics surface."""
         return sorted((src, dst) for key, filed in self._pred.items()

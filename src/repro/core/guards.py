@@ -271,10 +271,6 @@ class GuardSet:
         """Abstract wire size of this guard tag (C4 overhead accounting)."""
         return self._len
 
-    def guesses_of(self, process: str) -> set[GuessId]:
-        """The members owned by one process."""
-        return {g for g in self if g.process == process}
-
     def compressed(self) -> "GuardSet":
         """One representative guess per (process, incarnation) — §4.1.2.
 

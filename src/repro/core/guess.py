@@ -122,10 +122,6 @@ class IncarnationTable:
             bound[earlier] = index
         return True
 
-    def learn_abort(self, guess: GuessId) -> None:
-        """An abort of ``x_{i,n}`` starts incarnation ``i+1`` at index ``n``."""
-        self.learn_start(guess.incarnation + 1, guess.index)
-
     def truncation(self, incarnation: int) -> float:
         """Lowest index of ``incarnation`` known dead (``inf``: none is)."""
         bound = self._bound

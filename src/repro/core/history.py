@@ -27,7 +27,7 @@ guard when it is next read (:meth:`SystemView.prune`).
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.guards import GuardSet, minus_runs, pairs, union_runs
 from repro.core.guess import GuessId, IncarnationTable
@@ -233,16 +233,6 @@ class SystemView:
     def is_aborted(self, guess: GuessId) -> bool:
         """True iff the guess is known aborted (explicitly or implicitly)."""
         return self.status(guess) is GuessStatus.ABORTED
-
-    def any_aborted(self, guesses: Iterable[GuessId]) -> Optional[GuessId]:
-        """Lowest aborted guess among ``guesses``: the orphan test (§4.2.3)
-        by brute force, which the pool's reading of the index is judged by
-        (invariant I4)."""
-        found: Optional[GuessId] = None
-        for g in guesses:
-            if (found is None or g < found) and self.is_aborted(g):
-                found = g
-        return found
 
     def note_commit(self, guess: GuessId) -> None:
         """Record an explicit COMMIT with the owning peer's view."""

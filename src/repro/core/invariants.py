@@ -37,13 +37,24 @@ I9  Index consistency — every unresolved guess a surviving thread, pooled
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, Optional
 
 from repro.errors import ProtocolError
 from repro.core.guess import GuessId
-from repro.core.history import GuessStatus
+from repro.core.history import GuessStatus, SystemView
 from repro.core.system import OptimisticSystem
 from repro.core.thread import ThreadStatus
+
+
+def any_aborted(view: SystemView,
+                guesses: Iterable[GuessId]) -> Optional[GuessId]:
+    """Lowest aborted guess among ``guesses``: the orphan test (§4.2.3) by
+    brute force, which the pool's reading of the index is judged by (I4)."""
+    found: Optional[GuessId] = None
+    for g in guesses:
+        if (found is None or g < found) and view.is_aborted(g):
+            found = g
+    return found
 
 
 def validate_run(system: OptimisticSystem,
@@ -101,7 +112,7 @@ def validate_run(system: OptimisticSystem,
         # orphan never dispatched is fine) or undeliverable because nobody
         # receives it any more — nothing a blocked thread would take.
         for envelope in rt.inbox.envelopes:
-            if rt.inbox.is_orphan(envelope):
+            if any_aborted(rt.view, envelope.guard) is not None:
                 continue
             taker = rt.inbox.taker(envelope, rt.threads)
             if taker is not None:

@@ -6,9 +6,11 @@ are broadcast (the paper's simplifying assumption, §4.2.5) and drive the
 history/CDG machinery on every process.
 
 Every class here is instantiated once per message on million-event runs,
-so all are ``slots=True`` dataclasses and the plane names are interned
-module constants (:data:`PLANE_CONTROL`, :data:`PLANE_DATA`) — identity
-comparisons and dict hashing on them never re-hash string contents.
+so the protocol messages are ``slots=True`` dataclasses, the two transport
+frames (:class:`Wire`, :class:`AckMsg`) are cheaper-still immutable
+``NamedTuple`` classes, and the plane names are interned module constants
+(:data:`PLANE_CONTROL`, :data:`PLANE_DATA`) — identity comparisons and
+dict hashing on them never re-hash string contents.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Collection, FrozenSet, Set, Tuple
+from typing import Any, Collection, FrozenSet, NamedTuple, Set, Tuple
 
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
@@ -100,14 +102,14 @@ class QueryMsg:
 ControlMsg = (CommitMsg, AbortMsg, PrecedenceMsg, QueryMsg)
 
 
-@dataclass(frozen=True, slots=True)
-class Wire:
+class Wire(NamedTuple):
     """Reliable-transport frame: one sequence-numbered message on a channel.
 
     A channel is the directed, per-plane pair ``(src, dst, plane)``; ``seq``
     increases by one per frame on its channel.  The receiver acks every
     frame (including re-received duplicates, since the ack itself may have
-    been lost) and delivers the inner ``msg`` at most once.
+    been lost) and delivers the inner ``msg`` at most once.  The first
+    four fields, and an :class:`AckMsg`, are the frame's pending key.
     """
 
     src: str
@@ -120,8 +122,7 @@ class Wire:
         return (self.src, self.dst, self.plane)
 
 
-@dataclass(frozen=True, slots=True)
-class AckMsg:
+class AckMsg(NamedTuple):
     """Acknowledgement of one :class:`Wire` frame (never itself acked)."""
 
     src: str                    # original frame sender (the ack's target)

@@ -65,10 +65,6 @@ class MessagePool:
         envelope.news.clear()
         return min(self._view.aborted_members(envelope.guard), default=None)
 
-    def is_orphan(self, envelope: DataEnvelope) -> bool:
-        """The orphan test by brute force: the oracle of invariant I4."""
-        return self._view.any_aborted(envelope.guard) is not None
-
     def _discard_orphan(self, envelope: DataEnvelope, aborted: GuessId) -> None:
         self._view.release_all(envelope.guard, envelope)
         self._m.orphans_discarded.inc()

@@ -29,7 +29,7 @@ Channel = Tuple[str, str, str]          # (src, dst, plane)
 FrameKey = Tuple[str, str, str, int]    # channel + seq
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """One unacked frame awaiting ack or retransmission."""
 
@@ -67,6 +67,11 @@ class ReliableTransport:
         self._next_seq: Dict[Channel, int] = {}
         self._pending: Dict[FrameKey, _Pending] = {}
         self._seen: Dict[Channel, Set[int]] = {}
+        #: RTO per attempt: capped exponential backoff, computed once
+        self._rto = [min(config.retransmit_timeout
+                         * (config.retransmit_backoff ** attempts),
+                         config.retransmit_timeout_max)
+                     for attempts in range(config.max_retransmits + 1)]
         #: slotted wheel for the retransmission-timer army: one scheduler
         #: event per slot instead of per in-flight frame (0 = per-frame
         #: exact timers, the seed behaviour)
@@ -97,8 +102,7 @@ class ReliableTransport:
         channel = (src, dst, plane)
         seq = self._next_seq.get(channel, 0)
         self._next_seq[channel] = seq + 1
-        wire = Wire(src=src, dst=dst, plane=plane, seq=seq, msg=msg)
-        entry = _Pending(wire=wire, size=size, control=control)
+        entry = _Pending(Wire(src, dst, plane, seq, msg), size, control)
         self._pending[(src, dst, plane, seq)] = entry
         self._transmit(entry)
 
@@ -107,11 +111,7 @@ class ReliableTransport:
         self.network.send(
             wire.src, wire.dst, wire, control=entry.control, size=entry.size
         )
-        rto = min(
-            self.config.retransmit_timeout
-            * (self.config.retransmit_backoff ** entry.attempts),
-            self.config.retransmit_timeout_max,
-        )
+        rto = self._rto[entry.attempts]
         if self._wheel is not None:
             entry.timer = self._wheel.after(rto, lambda: self._on_rto(entry))
             return
@@ -124,8 +124,7 @@ class ReliableTransport:
             rto, lambda: self._on_rto(entry), label=label)
 
     def _on_rto(self, entry: _Pending) -> None:
-        wire = entry.wire
-        key = (wire.src, wire.dst, wire.plane, wire.seq)
+        key = entry.wire[:4]
         if key not in self._pending:
             return  # acked (or dropped) in the meantime
         if entry.attempts >= self.config.max_retransmits:
@@ -142,33 +141,40 @@ class ReliableTransport:
         self, name: str, inner: Callable[[str, Any], None]
     ) -> Callable[[str, Any], None]:
         """Wrap an endpoint handler with unframing, acking, and dedup."""
+        counters = self.m.registry.stats.counters
+        acks_key = self.m.acks_sent.name
+        deduped_key = self.m.frames_deduped.name
 
         def handler(src: str, payload: Any) -> None:
-            if isinstance(payload, AckMsg):
+            kind = type(payload)
+            if kind is AckMsg:
                 self._on_ack(payload)
                 return
-            if not isinstance(payload, Wire):
+            if kind is not Wire:
                 inner(src, payload)
                 return
             if self.is_down(name):
                 return  # no ack: the sender must retry into the restart
-            ack = AckMsg(
-                src=payload.src, dst=name, plane=payload.plane,
-                seq=payload.seq,
-            )
-            self.network.send(name, payload.src, ack, control=True, size=1)
-            self.m.acks_sent.inc()
-            seen = self._seen.setdefault(payload.channel(), set())
-            if payload.seq in seen:
-                self.m.frames_deduped.inc()
+            frame_src, frame_dst, plane, seq, msg = payload
+            self.network.send(name, frame_src,
+                              AckMsg(frame_src, name, plane, seq),
+                              control=True, size=1)
+            counters[acks_key] += 1
+            channel = (frame_src, frame_dst, plane)
+            seen = self._seen.get(channel)
+            if seen is None:
+                seen = self._seen[channel] = set()
+            if seq in seen:
+                counters[deduped_key] += 1
                 return
-            seen.add(payload.seq)
-            inner(payload.src, payload.msg)
+            seen.add(seq)
+            inner(frame_src, msg)
 
         return handler
 
     def _on_ack(self, ack: AckMsg) -> None:
-        entry = self._pending.pop((ack.src, ack.dst, ack.plane, ack.seq), None)
+        # an ack's fields are its frame's pending key
+        entry = self._pending.pop(ack, None)
         if entry is not None and entry.timer is not None:
             entry.timer.cancel()
 

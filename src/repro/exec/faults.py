@@ -105,22 +105,15 @@ class ExecFaultInjector:
         self.plan = plan
         self.rng = RngRegistry(plan.seed)
 
-    def _draw(self) -> float:
-        return float(self.rng.stream("exec.tasks").uniform(0.0, 1.0))
-
     def draw(self, now: float) -> Optional[str]:
         """Fault for the task submitted at virtual ``now`` (or ``None``)."""
         tasks = self.plan.tasks
         if not tasks.active or not self.plan.in_window(now):
             return None
-        if tasks.kill_p and self._draw() < tasks.kill_p:
-            return "kill"
-        if tasks.hang_p and self._draw() < tasks.hang_p:
-            return "hang"
-        if tasks.poison_p and self._draw() < tasks.poison_p:
-            return "poison"
-        if tasks.lose_result_p and self._draw() < tasks.lose_result_p:
-            return "lost"
+        for kind, p in zip(INJECTABLE, (tasks.kill_p, tasks.hang_p,
+                                        tasks.poison_p, tasks.lose_result_p)):
+            if p and self.rng.uniform("exec.tasks") < p:
+                return kind
         return None
 
 

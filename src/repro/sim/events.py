@@ -380,7 +380,3 @@ class EventQueue:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"EventQueue(pending={len(self)}, "
                 f"cancelled_pending={self._cancelled})")
-
-
-def _never() -> None:  # pragma: no cover - placeholder action
-    raise SimulationError("placeholder event should never fire")

@@ -29,6 +29,7 @@ is responsible for, not the terminal in front of the user.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Set, Tuple
 
@@ -118,10 +119,6 @@ class FaultPlan:
             return True
         start, end = self.window
         return start <= now < end
-
-    @property
-    def active(self) -> bool:
-        return self.data.active or self.control.active or bool(self.crashes)
 
 
 @dataclass
@@ -226,7 +223,9 @@ class FaultyNetwork(Network):
     to exempt it — the system exempts external sinks) and only while no
     endpoint of the link is down.  Messages to or from a down process are
     dropped at the wire, which is what makes a crash lossy for in-flight
-    traffic.
+    traffic.  The plan is resolved once per plane at construction and must
+    not be mutated afterwards.  A faulted message draws, in this order:
+    drop; spike if ``spike_p``; reorder and its spread; dup and its spread.
     """
 
     def __init__(
@@ -251,6 +250,8 @@ class FaultyNetwork(Network):
         self.rng = RngRegistry(plan.seed)
         self.down: Set[str] = set()
         self.protected: Set[str] = set()
+        self._data = _resolve(plan.data, "data")
+        self._control = _resolve(plan.control, "control")
 
     # ------------------------------------------------------------- control
 
@@ -266,9 +267,6 @@ class FaultyNetwork(Network):
 
     # ------------------------------------------------------------- sending
 
-    def _draw(self, stream: str) -> float:
-        return float(self.rng.stream(stream).uniform(0.0, 1.0))
-
     def send(
         self,
         src: str,
@@ -280,46 +278,51 @@ class FaultyNetwork(Network):
     ) -> float:
         if src in self.protected or dst in self.protected:
             return super().send(src, dst, payload, control=control, size=size)
-        kind = "control" if control else "data"
+        (faults, active, stream, down_key, dropped_key, spiked_key,
+         reordered_key, duplicated_key) = (
+            self._control if control else self._data)
+        counters = self.stats.counters
         if src in self.down or dst in self.down:
             # Account the loss against the plain delivery time so the FIFO
             # clamp and bandwidth bookkeeping stay consistent either way.
             deliver_at = self._delivery_time(src, dst, size)
-            self.stats.incr(f"faults.{kind}.down_dropped")
+            counters[down_key] += 1
             return deliver_at
-        faults = self.plan.control if control else self.plan.data
-        if not faults.active or not self.plan.in_window(self.scheduler.now):
+        if not active or not self.plan.in_window(self.scheduler.now):
             return super().send(src, dst, payload, control=control, size=size)
 
-        stream = f"faults.{kind}"
-        if self._draw(stream) < faults.drop_p:
+        uniform = self.rng.uniform
+        if uniform(stream) < faults.drop_p:
             deliver_at = self._delivery_time(src, dst, size)
-            self.stats.incr(f"faults.{kind}.dropped")
+            counters[dropped_key] += 1
             return deliver_at
 
         extra = 0.0
         fifo: Optional[bool] = None
-        if faults.spike_p and self._draw(stream) < faults.spike_p:
+        if faults.spike_p and uniform(stream) < faults.spike_p:
             extra += faults.spike_delay
-            self.stats.incr(f"faults.{kind}.spiked")
-        if faults.reorder_p and self._draw(stream) < faults.reorder_p:
-            extra += float(
-                self.rng.stream(stream).uniform(0.0, faults.reorder_spread)
-            )
+            counters[spiked_key] += 1
+        if faults.reorder_p and uniform(stream) < faults.reorder_p:
+            extra += uniform(stream, 0.0, faults.reorder_spread)
             fifo = False
-            self.stats.incr(f"faults.{kind}.reordered")
+            counters[reordered_key] += 1
         deliver_at = self._delivery_time(
             src, dst, size, extra_delay=extra, fifo=fifo
         )
         self._schedule_delivery(src, dst, payload, deliver_at, control, size)
 
-        if faults.dup_p and self._draw(stream) < faults.dup_p:
-            dup_extra = float(
-                self.rng.stream(stream).uniform(0.0, faults.reorder_spread)
-            )
+        if faults.dup_p and uniform(stream) < faults.dup_p:
+            dup_extra = uniform(stream, 0.0, faults.reorder_spread)
             dup_at = self._delivery_time(
                 src, dst, size, extra_delay=dup_extra, fifo=False
             )
             self._schedule_delivery(src, dst, payload, dup_at, control, size)
-            self.stats.incr(f"faults.{kind}.duplicated")
+            counters[duplicated_key] += 1
         return deliver_at
+
+
+def _resolve(faults: LinkFaults, kind: str) -> Tuple[Any, ...]:
+    """A plane's faults, active flag, stream name and interned counter keys."""
+    return (faults, faults.active, sys.intern(f"faults.{kind}"), *(
+        sys.intern(f"faults.{kind}.{what}") for what in (
+            "down_dropped", "dropped", "spiked", "reordered", "duplicated")))

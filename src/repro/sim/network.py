@@ -93,7 +93,7 @@ class JitteredLatency(LatencyModel):
         """Base latency plus a seeded uniform jitter draw."""
         if self.jitter == 0:
             return self.base
-        return self.base + float(self._rng.stream(self._stream).uniform(0, self.jitter))
+        return self.base + self._rng.uniform(self._stream, 0, self.jitter)
 
 
 class SkewedLatency(LatencyModel):

@@ -64,7 +64,3 @@ class TraceEvent:
     def owner(self) -> str:
         """The process whose program order stamps this event."""
         return self.dst if self.kind == RECV else self.src
-
-    def data_key(self) -> Tuple[str, str, str, Any]:
-        """The part of the event that equivalence compares."""
-        return (self.kind, self.src, self.dst, self.payload)

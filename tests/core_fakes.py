@@ -16,6 +16,20 @@ from repro.sim.stats import Stats
 from repro.trace.recorder import TraceRecorder
 
 
+def edge_count(cdg):
+    """Number of precedence edges in a commit dependency graph."""
+    return len(cdg.edges())
+
+
+def find_any_cycle(cdg):
+    """Some cycle in a commit dependency graph, or ``None``."""
+    for node in cdg.nodes():
+        cycle = cdg.cycle_through(node)
+        if cycle is not None:
+            return cycle
+    return None
+
+
 def held(view):
     """Every unresolved guess somebody holds in ``view``'s index, each with
     its holder: the runs of the index, member by member."""

@@ -3,6 +3,11 @@
 from repro.core.guess import GuessId, IncarnationTable
 
 
+def learn_abort(table, guess):
+    """An abort of ``x_{i,n}`` starts incarnation ``i+1`` at index ``n``."""
+    table.learn_start(guess.incarnation + 1, guess.index)
+
+
 class TestGuessId:
     def test_key_format(self):
         assert GuessId("X", 2, 5).key() == "X:i2.n5"
@@ -27,7 +32,7 @@ class TestIncarnationTable:
 
     def test_learn_abort_starts_next_incarnation(self):
         t = IncarnationTable()
-        t.learn_abort(GuessId("X", 0, 5))
+        learn_abort(t, GuessId("X", 0, 5))
         assert t.start_of(1) == 5
 
     def test_paper_example(self):

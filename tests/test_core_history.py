@@ -3,6 +3,7 @@
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId
 from repro.core.history import GuessStatus, PeerView, SystemView
+from repro.core.invariants import any_aborted
 
 from .core_fakes import held
 
@@ -77,9 +78,9 @@ class TestSystemView:
         sv = SystemView()
         sv.note_abort(g(0, 2, "B"))
         sv.note_abort(g(0, 1, "A"))
-        found = sv.any_aborted([g(0, 1, "A"), g(0, 2, "B")])
+        found = any_aborted(sv, [g(0, 1, "A"), g(0, 2, "B")])
         assert found == g(0, 1, "A")
-        assert sv.any_aborted([g(0, 9, "C")]) is None
+        assert any_aborted(sv, [g(0, 9, "C")]) is None
 
     def test_status_resolved_property(self):
         assert GuessStatus.COMMITTED.resolved

@@ -8,9 +8,10 @@ from repro.core.cdg import CommitDependencyGraph
 from repro.core.guards import GuardSet
 from repro.core.guess import GuessId, IncarnationTable
 from repro.core.history import GuessStatus, PeerView, SystemView
+from repro.core.invariants import any_aborted
 from repro.sim.events import EventQueue
 
-from .core_fakes import held as index_of
+from .core_fakes import edge_count, find_any_cycle, held as index_of
 from .reference_cdg import CommitDependencyGraph as MemberGraph
 
 guesses = st.builds(
@@ -49,7 +50,7 @@ def test_cdg_cycle_detection_matches_networkx(edges):
         cdg.add_edge(src, dst)
         nxg.add_edge(src, dst)
     has_cycle_nx = not nx.is_directed_acyclic_graph(nxg)
-    assert (cdg.find_any_cycle() is not None) == has_cycle_nx
+    assert (find_any_cycle(cdg) is not None) == has_cycle_nx
     # per-node agreement
     for node in cdg.nodes():
         in_cycle_nx = any(
@@ -331,7 +332,7 @@ def test_guard_runs_behave_as_the_set_of_their_members(initial, ops):
         assert view.aborted_members(guard) == {
             g for g in model if view.is_aborted(g)}
         assert min(view.aborted_members(guard),
-                   default=None) == view.any_aborted(model)
+                   default=None) == any_aborted(view, model)
 
 
 cdg_guesses = st.builds(
@@ -359,7 +360,7 @@ def assert_same_graph(cdg, oracle):
     nodes = oracle.nodes()
     assert cdg.nodes() == nodes
     assert cdg.edges() == oracle.edges()
-    assert cdg.edge_count() == oracle.edge_count()
+    assert edge_count(cdg) == oracle.edge_count()
     for node in nodes + [CDG_DOMAIN[0], CDG_DOMAIN[-1]]:
         assert cdg.has_node(node) == oracle.has_node(node)
         assert cdg.successors(node) == oracle.successors(node)
