@@ -2,15 +2,15 @@
 """Inspect a run's speculation: depth, doubt time, cascades, memory.
 
 Runs a 12-call streamed chain against flaky servers and uses the analysis
-and fossil-collection APIs to show what the protocol actually did — the
-observability a production deployment of this system would need.
+APIs to show what the protocol actually did — the observability a
+production deployment of this system would need — and how little
+speculation state the runtime keeps once each guess has settled.
 
 Run:  python examples/speculation_anatomy.py
 """
 
 from repro.core import OptimisticSystem, stream_plan
 from repro.core.analysis import speculation_depth_series
-from repro.core.gc import collect_all, retained_footprint
 from repro.obs.tracer import RecordingTracer
 from repro.sim.network import FixedLatency
 from repro.workloads.generators import ChainSpec, chain_workload
@@ -46,12 +46,14 @@ def main() -> None:
         bar = "#" * depth
         print(f"  t={t:7.2f} |{bar:<{peak}}| {depth}")
 
-    print("\nretained speculation state:")
-    before = retained_footprint(system)
-    print(f"  before collection: {before}")
-    collect_all(system)
-    after = retained_footprint(system)
-    print(f"  after  collection: {after}")
+    # The runtime reclaims threads, guess records and their journals where
+    # each guess settles (§3.2), so what is left is already small.
+    print(f"\nretained speculation state after "
+          f"{result.stats.get('opt.forks')} forks:")
+    for name, rt in system.runtimes.items():
+        slots = sum(len(t.journal.slots) for t in rt.threads.values())
+        print(f"  {name:<8} threads={len(rt.threads)} "
+              f"records={len(rt.records)} journal slots={slots}")
 
     print("\nfirst 12 rows of the execution diagram:")
     for line in result.timeline(title="").splitlines()[:14]:

@@ -43,7 +43,6 @@ from repro.analyze.graph import (
     SystemModel,
     fork_site_safety,
     predicted_keys,
-    safe_fork_sites,
 )
 from repro.analyze.report import SCHEMA_VERSION, Finding, Report, Severity
 from repro.analyze.rules import RULES, Rule, rule, run_rules
@@ -84,7 +83,6 @@ __all__ = [
     "SystemModel",
     "fork_site_safety",
     "predicted_keys",
-    "safe_fork_sites",
     "Finding",
     "Report",
     "Severity",

@@ -323,11 +323,3 @@ def fork_site_safety(model: SystemModel, site: ForkSite) -> SiteSafety:
                 "guess: " + ", ".join(sorted(uncovered))
             )
     return SiteSafety(site, safe=not reasons, reasons=tuple(reasons))
-
-
-def safe_fork_sites(model: SystemModel, process: str) -> Dict[str, SiteSafety]:
-    """Safety verdict per fork site of ``process``."""
-    return {
-        site.segment: fork_site_safety(model, site)
-        for site in model.fork_sites(process)
-    }

@@ -1,7 +1,5 @@
 """Comparison systems.
 
-* :mod:`repro.baselines.pessimistic` — the blocking execution (Fig. 2),
-  a thin re-export of the sequential interpreter.
 * :mod:`repro.baselines.pipelining` — the X-window-system style contrast
   from §1: asynchronous sends, asynchronous error notification, no
   rollback — fast but willing to show wrong output to the world.
@@ -11,7 +9,6 @@
   order determined during execution.
 """
 
-from repro.baselines.pessimistic import run_pessimistic
 from repro.baselines.pipelining import PipeliningResult, run_pipelined_chain
 from repro.baselines.promises import (
     PCall,
@@ -27,7 +24,6 @@ from repro.baselines.timewarp import (
 )
 
 __all__ = [
-    "run_pessimistic",
     "PipeliningResult",
     "run_pipelined_chain",
     "PromiseSystem",

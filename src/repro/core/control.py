@@ -25,7 +25,8 @@ class ControlRelay:
         self._sys = system  # OptimisticSystem (untyped: it imports us)
         self._targeted = (
             system.config.control_plane is ControlPlane.TARGETED)
-        #: targeted mode: the peers we made dependent on each guess
+        #: targeted mode: the peers we made dependent on each guess, until
+        #: its COMMIT or ABORT has gone out to them
         self.dependents: Dict[GuessId, Set[str]] = {}
         #: resolutions already applied (and, in targeted mode, relayed),
         #: once per (kind, GuessId) — the GuessId carries the incarnation,
@@ -65,7 +66,8 @@ class ControlRelay:
             self._sys.broadcast_control(self.process, msg)
 
     def _send_to_dependents(self, msg: Any, skip: Set[str]) -> None:
-        for dst in sorted(self.dependents.get(msg.guess, set()) - skip):
+        """Fan a resolution out: the last use of the guess's dependents."""
+        for dst in sorted(self.dependents.pop(msg.guess, set()) - skip):
             self._sys.send_control(self.process, dst, msg)
 
     def admit(self, msg: Any, src: str) -> bool:

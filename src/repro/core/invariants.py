@@ -33,6 +33,11 @@ I9  Index consistency — every unresolved guess a surviving thread, pooled
     it and is filed at or above it; and no registration is left whose
     whole run is resolved.  I3, I4 and I8 scan ``status`` by brute force:
     they are what the index is judged against.
+I11 Nothing reclaimable is left — no DESTROYED thread in the table, no
+    settled record in ``records`` or ``open_records``, no terminated left
+    thread of a settled guess, no ``dependents`` entry for a resolved guess.
+    The runtime reclaims each where it settles; this judges those sites by
+    the facts alone.  (I10 is reserved for the offline resolver.)
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import Iterable, List, Optional
 from repro.errors import ProtocolError
 from repro.core.guess import GuessId
 from repro.core.history import GuessStatus, SystemView
+from repro.core.runtime import ProcessRuntime
 from repro.core.system import OptimisticSystem
 from repro.core.thread import ThreadStatus
 
@@ -57,11 +63,44 @@ def any_aborted(view: SystemView,
     return found
 
 
+def unreclaimed(rt: ProcessRuntime) -> List[str]:
+    """I11 for one process: the threads and records it still holds that
+    nothing can read.  Holds between any two scheduler events; the
+    dependents rule is :func:`validate_run`'s alone, since between events
+    an entry may outlive a resolution the view inferred while the COMMIT
+    or ABORT itself is still on its way."""
+    problems, name = [], rt.name
+    for thread in rt.threads.values():
+        if thread.status is ThreadStatus.DESTROYED:
+            problems.append(f"I11: {name}.t{thread.tid} destroyed, not "
+                            "reclaimed")
+        elif thread.own_guess is not None \
+                and thread.own_guess not in rt.records:
+            problems.append(f"I11: {name}.t{thread.tid} outlives the record "
+                            f"of {thread.own_guess.key()}")
+    for guess, record in rt.records.items():
+        if record.status == "pending":
+            continue
+        left = rt.threads.get(record.left_tid)
+        settled = (
+            record.status == "committed" or record.fork_undone
+            or left is None
+            or (left.status is ThreadStatus.TERMINATED and not left.guard
+                and record.continuation_tid is not None))
+        if settled:
+            problems.append(f"I11: {name} keeps settled {record.status} "
+                            f"record {guess.key()}")
+    problems.extend(f"I11: {name} open record {guess.key()} not in records"
+                    for guess in rt.open_records if guess not in rt.records)
+    return problems
+
+
 def validate_run(system: OptimisticSystem,
                  allow_unresolved: bool = False) -> List[str]:
     """Check all invariants on a quiesced system; returns checked labels."""
     problems: List[str] = []
-    checked = ["I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9"]
+    checked = ["I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9",
+               "I11"]
 
     committed = set()
     aborted = set()
@@ -166,6 +205,11 @@ def validate_run(system: OptimisticSystem,
             for holder, guesses in holdings for g in guesses
             if not view.status(g).resolved
             and (g, id(holder)) not in indexed)
+        # I11 nothing reclaimable left
+        problems.extend(unreclaimed(rt))
+        problems.extend(
+            f"I11: {name} keeps dependents of resolved {g.key()}"
+            for g in rt.control.dependents if view.status(g).resolved)
 
     if problems:
         raise ProtocolError(

@@ -102,13 +102,12 @@ def learn_from(system, process: str, site: str,
     predictor.  Call between runs of a repeated workload (profiles carry
     across sessions exactly like the paper's "run-time profiling").
     """
-    runtime = system.runtimes[process]
-    for record in runtime.records.values():
-        if record.site != site or record.status == "pending":
+    sites: Dict[str, str] = {}      # guess key -> fork site
+    for entry in system.protocol_log:
+        if entry["process"] != process:
             continue
-        left = runtime.threads.get(record.left_tid)
-        if left is None:
-            continue
-        seg = runtime.program.segments[record.site_seg]
-        actual = {k: left.state.get(k) for k in seg.exports}
-        predictor.observe(actual)
+        if entry["kind"] == "fork":
+            sites[entry["guess"]] = entry["site"]
+        elif (entry["kind"] in ("commit", "value_fault")
+              and sites.get(entry["guess"]) == site):
+            predictor.observe(entry["actual"])

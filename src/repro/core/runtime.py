@@ -11,6 +11,7 @@ graph.  It implements:
 * COMMIT/ABORT processing (§4.2.7/§4.2.8) including rollback of dependent
   threads to their ``Rollbacks[g]`` positions;
 * incarnation numbering on local aborts (§4.1.2);
+* reclamation of settled threads and records where they settle (§3.2);
 * the two fixpoint drivers, ``dispatch`` and ``resolve_sweep``.
 
 The other mechanisms each have one owner that the runtime holds and calls:
@@ -141,7 +142,7 @@ class ProcessRuntime:
         self.incarnation = 0
         self.next_fork_index = 0
         self.records: Dict[GuessId, GuessRecord] = {}
-        #: the records that can still act — everything not committed — in
+        #: the records that can still act — everything not settled — in
         #: fork order: what the sweep and the cycle check walk
         self.open_records: Dict[GuessId, GuessRecord] = {}
         #: pending ``records``, and the thread that last finished the main
@@ -550,7 +551,7 @@ class ProcessRuntime:
                            detail={"cycle": [record.guess.key()]})
             return
         if not left.guard:      # pruned of what has committed, as on any read
-            self.commit_own(record)
+            self.commit_own(record, actual)
             return
         # Unresolved foreign guesses: the PRECEDENCE protocol (§4.2.6).
         snapshot = left.guard.frozen()
@@ -599,8 +600,10 @@ class ProcessRuntime:
                     "or the continuation will run against a stale value"
                 )
 
-    def commit_own(self, record: GuessRecord) -> None:
-        """Commit one of our guesses and notify dependents (§4.2.7)."""
+    def commit_own(self, record: GuessRecord,
+                   actual: Dict[str, Any]) -> None:
+        """Commit one of our guesses and notify dependents (§4.2.7);
+        ``actual`` holds the exports the join verified, for the log."""
         record.status = "committed"
         del self.open_records[record.guess]
         self._pending_records -= 1
@@ -613,7 +616,8 @@ class ProcessRuntime:
         self.control.originate(CommitMsg(guess=record.guess))
         self.m.commits.inc()
         self._resolve_metrics(record, outcome="commit")
-        self.log_event("commit", guess=record.guess.key())
+        self.log_event("commit", guess=record.guess.key(), actual=actual)
+        self._reclaim_if_settled(record.guess)
         self.resolve_sweep()
 
     def _resolve_metrics(self, record: GuessRecord, outcome: str,
@@ -700,23 +704,29 @@ class ProcessRuntime:
         for record in to_abort:
             if self._left_done(record) is not None:
                 self._spawn_continuation(record)
+            self._reclaim_if_settled(record.guess)
 
     def _destroy_subtree(self, tid: int,
                          cause: Optional[str] = None) -> List[OptimisticThread]:
-        """Destroy a thread and its descendants; requeue their clean inputs.
+        """Destroy a thread and its descendants, requeue their clean
+        inputs, and drop them from the tables.
 
         ``cause`` names the aborted guess on whose behalf the subtree dies;
         it lands on the destroyed segment spans for wasted-work attribution.
         """
         thread = self.threads.get(tid)
-        if thread is None or thread.status is ThreadStatus.DESTROYED:
+        if thread is None:
             return []
         destroyed = [thread]
         thread.destroy(cause=cause)
         self.inbox.requeue(thread.journal.slots)
         self.output.drop_thread(tid)
-        for child in self.children.get(tid, []):
+        for child in self.children[tid]:
             destroyed.extend(self._destroy_subtree(child, cause=cause))
+        del self.threads[tid], self.children[tid]
+        # An aborted guess whose left thread is gone is settled; a pending
+        # one is aborted by the caller, which settles it then.
+        self._reclaim_if_settled(thread.own_guess)
         self.m.threads_destroyed.inc()
         return destroyed
 
@@ -734,8 +744,10 @@ class ProcessRuntime:
             self.abort_own(pending, reason=reason, root=root)
 
     def _continuation_alive(self, record: GuessRecord) -> bool:
-        cont = self.threads.get(record.continuation_tid)
-        return cont is not None and cont.alive
+        """Spawned, and not destroyed since: only the left thread's
+        rollback past its JOIN slot (or its own destruction) destroys a
+        continuation, and a reclaimed one is not destroyed."""
+        return record.continuation_tid is not None
 
     def _spawn_continuation(self, record: GuessRecord) -> None:
         # fork undone: the former left thread re-executes the range itself
@@ -764,6 +776,36 @@ class ProcessRuntime:
         cont._pending_event = self.backend.after(
             0.0, cont.start, label=f"start {self.name}.t{cont.tid} (cont)"
         )
+        self._reclaim_if_settled(record.guess)
+
+    # ---------------------------------------------------------- reclamation
+
+    def _reclaim_if_settled(self, guess: Optional[GuessId]) -> None:
+        """Forget the record of ``guess`` once no later event can read it
+        (§3.2: commit "discards any state it created for purposes of
+        rolling back").
+
+        A committed record is settled at once; an aborted one when its fork
+        was undone, its left thread is gone, or that thread has terminated
+        with an empty guard and its continuation runs.  A terminated left
+        thread with an empty guard can never roll back again, so it leaves
+        with its record, journal and snapshots.
+        """
+        record = self.records.get(guess)
+        if record is None or record.status == "pending":
+            return
+        left = self._left_done(record)
+        final = (left is not None and left.own_guess == record.guess
+                 and not left.guard)
+        settled = (record.fork_undone or record.left_tid not in self.threads
+                   or (final and (record.status == "committed"
+                                  or self._continuation_alive(record))))
+        if not settled:
+            return
+        del self.records[guess]
+        self.open_records.pop(guess, None)
+        if final:
+            del self.threads[left.tid], self.children[left.tid]
 
     # --------------------------------------------------- control processing
 
@@ -914,8 +956,10 @@ class ProcessRuntime:
                                        thread.rollback_position(affected),
                                        cause=min(g.key() for g in affected))
                 changed = True
-            else:
-                thread.news.clear()     # of runs the thread has shed
+                continue
+            thread.news.clear()     # of runs the thread has shed
+            # an aborted guess's left thread may have just settled
+            self._reclaim_if_settled(thread.own_guess)
         # 2. re-evaluate joins of pending guesses whose left thread is done.
         for record in list(self.open_records.values()):
             if record.status == "committed":    # by a join earlier in this pass
@@ -957,17 +1001,20 @@ class ProcessRuntime:
                     # whole range, so this record may never spawn a
                     # continuation (it would duplicate the range's effects).
                     record.fork_undone = True
-                if record is not None and record.status == "pending":
-                    self.abort_own([record], reason="parent_rollback",
-                                   root=cause)
-                elif record is not None and record.status == "aborted":
-                    # Already aborted; just make sure the subtree is gone
-                    # (and no pending nested guess leaks with it).
-                    self._abort_orphaned_records(
-                        self._destroy_subtree(record.right_tid, cause=cause),
-                        root=cause)
+                    if record.status == "pending":
+                        self.abort_own([record], reason="parent_rollback",
+                                       root=cause)
+                    else:
+                        # Already aborted; just make sure the subtree is
+                        # gone (and no pending nested guess leaks with it).
+                        self._abort_orphaned_records(self._destroy_subtree(
+                            record.right_tid, cause=cause), root=cause)
+                        self._reclaim_if_settled(guess)
             elif slot.kind == JOIN:
                 cont_tid = slot.data
+                record = self.records.get(thread.own_guess)
+                if record is not None:
+                    record.continuation_tid = None
                 self._abort_orphaned_records(
                     self._destroy_subtree(cont_tid, cause=cause), root=cause)
                 if cont_tid in self.children.get(thread.tid, []):

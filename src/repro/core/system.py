@@ -19,7 +19,7 @@ from repro.core.runtime import ProcessRuntime
 from repro.core.transport import ReliableTransport
 from repro.csp.external import ExternalSink
 from repro.csp.plan import ParallelizationPlan
-from repro.csp.process import ProcessDef, Program
+from repro.csp.process import Program
 from repro.exec.api import ExecutorBackend
 from repro.exec.virtual import VirtualTimeBackend
 from repro.obs.metrics import MetricsRegistry, RuntimeMetrics
@@ -195,14 +195,6 @@ class OptimisticSystem:
             handler = self.transport.receiver(program.name, handler)
         self.network.register(program.name, handler)
         return runtime
-
-    def add_process(self, pdef: ProcessDef,
-                    plan: Optional[ParallelizationPlan] = None) -> None:
-        """Register a ProcessDef (program or external sink)."""
-        if pdef.external:
-            self.add_sink(pdef.name)
-        else:
-            self.add_program(pdef.program, plan)  # type: ignore[arg-type]
 
     def add_sink(self, name: str) -> ExternalSink:
         """Register an external, unrecoverable sink endpoint."""

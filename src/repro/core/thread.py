@@ -623,30 +623,39 @@ class OptimisticThread:
         )
         self._advance_loop(None)
 
+    def rebase_refusal(self) -> Optional[str]:
+        """Why :meth:`rebase` would refuse now; None when it may compact.
+
+        Compaction is legal only while blocked at a receive of a
+        ``rebase_safe`` single-segment range with an empty guard and no
+        fork of its own in the journal: a future replay then
+        re-instantiates the (re-entrant) segment generator over the
+        rebased state and the first replayed effect is again the receive.
+        """
+        if self.status is not ThreadStatus.BLOCKED_RECV:
+            return "rebase requires a thread blocked in Receive"
+        if self.guard or not self.journal.live:
+            return "rebase requires an empty, live guard state"
+        if self.own_guess is not None:
+            return "rebase cannot compact a left thread's fork"
+        if self.seg_end - self.seg_start != 1:
+            return "rebase supports single-segment ranges only"
+        segment = self.runtime.program.segments[self.seg_idx]
+        if not segment.rebase_safe:
+            return f"segment {segment.name!r} is not declared rebase_safe"
+        if segment.compute > 0:
+            return "rebase cannot compact a segment with entry compute time"
+        return None
+
     def rebase(self) -> int:
         """Journal compaction: make the current state the replay base.
 
-        Only legal while blocked at a receive of a ``rebase_safe``
-        single-segment range with an empty guard: a future replay then
-        re-instantiates the (re-entrant) segment generator over the
-        rebased state and the first replayed effect is again the receive.
-        Returns the number of journal slots reclaimed.
+        Raises :class:`ProtocolError` unless :meth:`rebase_refusal` is
+        None.  Returns the number of journal slots reclaimed.
         """
-        if self.status is not ThreadStatus.BLOCKED_RECV:
-            raise ProtocolError("rebase requires a thread blocked in Receive")
-        if self.guard or not self.journal.live:
-            raise ProtocolError("rebase requires an empty, live guard state")
-        if self.seg_end - self.seg_start != 1:
-            raise ProtocolError("rebase supports single-segment ranges only")
-        segment = self.runtime.program.segments[self.seg_idx]
-        if not segment.rebase_safe:
-            raise ProtocolError(
-                f"segment {segment.name!r} is not declared rebase_safe"
-            )
-        if segment.compute > 0:
-            raise ProtocolError(
-                "rebase cannot compact a segment with entry compute time"
-            )
+        refusal = self.rebase_refusal()
+        if refusal is not None:
+            raise ProtocolError(refusal)
         reclaimed = len(self.journal.slots)
         self.initial_snapshot = self.runtime.snap.capture(self.state)
         self.journal.slots.clear()

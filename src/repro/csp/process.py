@@ -44,7 +44,8 @@ class Segment:
         Declares the segment *re-entrant*: restarting its generator from
         the current state while blocked at its receive is equivalent to
         continuing.  True for the ``server_program`` loop; enables journal
-        compaction (:mod:`repro.core.gc`) on long-running servers.
+        compaction (:meth:`~repro.core.thread.OptimisticThread.rebase`) on
+        long-running servers.
     meta:
         Structured description of what the body does, recorded by the
         builders (:mod:`repro.csp.dsl`, :func:`server_program`,

@@ -20,7 +20,6 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.generators import (
     chain_workload,
-    random_chain_spec,
     run_chain_optimistic,
     run_chain_sequential,
     unreliable_server,
@@ -45,7 +44,6 @@ __all__ = [
     "run_fig6_two_threads",
     "run_fig7_cycle",
     "chain_workload",
-    "random_chain_spec",
     "run_chain_sequential",
     "run_chain_optimistic",
     "unreliable_server",

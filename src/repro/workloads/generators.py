@@ -12,8 +12,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core import OptimisticSystem, make_call_chain, stream_plan
 from repro.core.config import OptimisticConfig
 from repro.core.system import OptimisticResult
@@ -128,16 +126,3 @@ def run_chain_optimistic(
     for s in servers:
         system.add_program(s)
     return system.run()
-
-
-def random_chain_spec(rng: np.random.Generator) -> ChainSpec:
-    """Draw a random-but-sane chain spec (used by property tests)."""
-    return ChainSpec(
-        n_calls=int(rng.integers(1, 8)),
-        n_servers=int(rng.integers(1, 4)),
-        latency=float(rng.uniform(0.5, 10.0)),
-        service_time=float(rng.uniform(0.0, 3.0)),
-        compute_between=float(rng.uniform(0.0, 2.0)),
-        p_fail=float(rng.choice([0.0, 0.2, 0.5, 1.0])),
-        seed=int(rng.integers(0, 2 ** 31)),
-    )

@@ -24,7 +24,7 @@ def test_fault_free_run_satisfies_all_invariants():
     system = run_system(ChainSpec(n_calls=8, n_servers=2, latency=5.0,
                                   service_time=0.5))
     assert validate_run(system) == ["I1", "I2", "I3", "I4", "I5", "I6",
-                                    "I7", "I8", "I9"]
+                                    "I7", "I8", "I9", "I11"]
 
 
 def test_faulty_runs_satisfy_all_invariants():

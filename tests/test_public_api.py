@@ -72,7 +72,7 @@ SUBPACKAGES = [
     "repro.sim", "repro.csp", "repro.core", "repro.trace",
     "repro.baselines", "repro.workloads", "repro.bench",
     "repro.csp.dsl", "repro.core.predictors", "repro.core.autoplan",
-    "repro.core.analysis", "repro.core.gc", "repro.core.invariants",
+    "repro.core.analysis", "repro.core.invariants",
     "repro.core.output", "repro.core.pool", "repro.core.control",
     "repro.core.recovery", "repro.core.certificates",
     "repro.core.model", "repro.sim.topology", "repro.trace.hb",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.core import OptimisticSystem, make_call_chain, stream_plan
-from repro.core.gc import collect_all
 from repro.core.thread import ThreadStatus
 from repro.csp.process import server_program
 from repro.csp.sequential import SequentialSystem
@@ -30,6 +29,13 @@ def build(optimistic, n_calls=6, fail_at=None):
     return system
 
 
+def compact_servers(system):
+    """Rebase every thread that may compact now; the slots reclaimed."""
+    return sum(t.rebase() for rt in system.runtimes.values()
+               for t in list(rt.threads.values())
+               if t.rebase_refusal() is None)
+
+
 def run_to_quiescence(system, step=4.0):
     system.start()
     t = 0.0
@@ -46,6 +52,7 @@ def test_rebase_requires_blocked_receive():
     client_rt = system.runtimes["client"]
     thread = client_rt.threads[0]  # blocked in a CALL, not a receive
     assert thread.status is ThreadStatus.BLOCKED_CALL
+    assert thread.rebase_refusal() is not None
     with pytest.raises(ProtocolError):
         thread.rebase()
 
@@ -77,7 +84,8 @@ def test_rollback_after_rebase_replays_from_compacted_base():
         if (not rebased and srv.status is ThreadStatus.BLOCKED_RECV
                 and not srv.guard and srv.journal.live
                 and len(srv.journal.slots) >= 3):
-            collect_all(system)  # rebases the server loop
+            assert srv.rebase_refusal() is None
+            compact_servers(system)  # rebases the server loop
             rebased = True
             assert len(srv.journal.slots) == 0
     assert rebased, "test never reached a rebase point"
@@ -90,8 +98,10 @@ def test_porder_continuity_across_rebase():
     """Events after a rebase must not reuse pre-rebase program orders."""
     system = build(True, n_calls=6)
     reference = build(False, n_calls=6).run()
+    compacted = 0
     for t in run_to_quiescence(system, step=2.0):
-        collect_all(system)  # compact aggressively at every pause
+        compacted += compact_servers(system)  # compact at every pause
+    assert compacted > 0
     result = system.run()
     assert_equivalent(result.trace, reference.trace)
     porders = [e.porder for e in result.trace
